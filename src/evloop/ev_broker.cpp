@@ -1,9 +1,5 @@
 #include "evloop/ev_broker.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <unordered_map>
 
 #include <errno.h>
@@ -14,20 +10,11 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include "crypto/rng.hpp"
-#include "net/demo_inputs.hpp"
 #include "net/error.hpp"
-#include "proto/reusable_io.hpp"
 
 namespace maxel::evloop {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 int accept_nonblock(int lfd) {
 #ifdef __linux__
@@ -89,45 +76,9 @@ struct EvBroker::Shard {
 // --- construction ----------------------------------------------------------
 
 EvBroker::EvBroker(const EvBrokerConfig& cfg)
-    : cfg_(cfg),
-      circ_(circuit::make_mac_circuit(
-          circuit::MacOptions{cfg.bits, cfg.bits, true})),
-      v3_an_(gc::analyze_v3(circ_)),
-      v3_reg_(crypto::SystemRandom().next_block()),
-      spool_(svc::SpoolConfig{cfg.spool_dir, cfg.ram_cache_sessions, true}),
-      pool_(cfg.precompute_cores, crypto::SystemRandom().next_block()) {
-  if (cfg_.shards == 0) cfg_.shards = 1;
-  if (cfg_.idle_timeout_ms > 0) {
-    cfg_.tcp.recv_timeout_ms = cfg_.idle_timeout_ms;
-    cfg_.tcp.send_timeout_ms = cfg_.idle_timeout_ms;
-  }
-  expect_.scheme = cfg_.scheme;
-  expect_.bit_width = static_cast<std::uint32_t>(cfg_.bits);
-  expect_.circuit_hash = net::circuit_fingerprint(circ_);
-  expect_.rounds_per_session =
-      static_cast<std::uint32_t>(cfg_.rounds_per_session);
-  expect_.allow_stream = cfg_.allow_stream;
-  expect_.allow_v3 = cfg_.allow_v3;
-  expect_.allow_reusable = cfg_.allow_v3 && cfg_.allow_reusable;
-  net::DemoInputStream a_inputs(cfg_.demo_seed, net::kGarblerStream,
-                                cfg_.bits);
-  v3_g_bits_.resize(cfg_.rounds_per_session);
-  for (auto& row : v3_g_bits_) row = a_inputs.next_bits();
-  if (cfg_.spool_high_watermark < cfg_.spool_low_watermark)
-    cfg_.spool_high_watermark = cfg_.spool_low_watermark;
-  if (expect_.allow_reusable) ensure_reusable();
-
-  serve_ctx_.circ = &circ_;
-  serve_ctx_.expect = expect_;
-  serve_ctx_.reg = &v3_reg_;
-  serve_ctx_.reusable = reusable_ctx_ ? &*reusable_ctx_ : nullptr;
-  serve_ctx_.bits = cfg_.bits;
-  serve_ctx_.rounds = cfg_.rounds_per_session;
-  serve_ctx_.demo_seed = cfg_.demo_seed;
-  serve_ctx_.scheme = cfg_.scheme;
-  serve_ctx_.stream_chunk_rounds = cfg_.stream_chunk_rounds;
-  serve_ctx_.take_session = [this] { return take_session_blocking(); };
-  serve_ctx_.take_v3 = [this] { return take_v3_blocking(); };
+    : cfg_(cfg), core_(cfg, cfg.shards, "evbroker", "shard") {
+  cfg_.shards = core_.slots();
+  cfg_.tcp = cfg.connection_tcp();
 
   // The busy verdict, framed once: the EMFILE path sends it raw with a
   // single syscall, no channel object needed on a dying fd.
@@ -146,8 +97,8 @@ EvBroker::EvBroker(const EvBrokerConfig& cfg)
     }
   }
 
-  g_open_fds_ = &metrics_.gauge("ev_open_fds");
-  g_ready_depth_ = &metrics_.gauge("ev_ready_queue_depth");
+  g_open_fds_ = &core_.metrics().gauge("ev_open_fds");
+  g_ready_depth_ = &core_.metrics().gauge("ev_ready_queue_depth");
 
   // Listeners up front so port() is valid before run(). Shard 0 may bind
   // an ephemeral port; the rest join it via SO_REUSEPORT, giving the
@@ -155,7 +106,6 @@ EvBroker::EvBroker(const EvBrokerConfig& cfg)
   net::ListenOptions lo;
   lo.backlog = cfg_.listen_backlog;
   lo.reuseport = cfg_.shards > 1;
-  shard_stats_.resize(cfg_.shards);
   for (std::size_t i = 0; i < cfg_.shards; ++i) {
     auto sh = std::make_unique<Shard>();
     sh->index = i;
@@ -169,120 +119,13 @@ EvBroker::EvBroker(const EvBrokerConfig& cfg)
     const int lfl = ::fcntl(sh->listener->fd(), F_GETFL, 0);
     if (lfl >= 0)
       ::fcntl(sh->listener->fd(), F_SETFL, lfl | O_NONBLOCK);
-    sh->sessions_gauge = &metrics_.gauge(
+    sh->sessions_gauge = &core_.metrics().gauge(
         "ev_shard" + std::to_string(i) + "_sessions");
     shards_.push_back(std::move(sh));
   }
 }
 
 EvBroker::~EvBroker() { request_stop(); }
-
-void EvBroker::ensure_reusable() {
-  reusable_key_ =
-      svc::reusable_artifact_key(expect_.circuit_hash, cfg_.bits);
-  if (auto bytes = spool_.fetch_reusable(reusable_key_)) {
-    try {
-      gc::ReusableCircuit rc =
-          proto::parse_reusable(bytes->data(), bytes->size());
-      if (rc.view.fingerprint == expect_.circuit_hash &&
-          rc.view.bit_width == cfg_.bits) {
-        reusable_ctx_ = net::make_reusable_context(
-            circ_, std::move(rc),
-            static_cast<std::uint32_t>(cfg_.rounds_per_session),
-            cfg_.demo_seed);
-        metrics_.counter("reusable_artifact_loaded").inc();
-        return;
-      }
-    } catch (const std::exception&) {
-      // Checksum passed but the blob no longer parses; re-garble below.
-    }
-  }
-  crypto::SystemRandom garble_rng;
-  gc::ReusableCircuit rc = net::garble_reusable(
-      circ_, static_cast<std::uint32_t>(cfg_.bits), garble_rng);
-  spool_.put_reusable(reusable_key_, proto::serialize_reusable(rc));
-  reusable_ctx_ = net::make_reusable_context(
-      circ_, std::move(rc),
-      static_cast<std::uint32_t>(cfg_.rounds_per_session), cfg_.demo_seed);
-  ++reusable_garbles_;
-  metrics_.counter("reusable_garbles").inc();
-}
-
-// --- spool plumbing (same discipline as svc::Broker) ------------------------
-
-proto::PrecomputedSession EvBroker::take_session_blocking() {
-  for (;;) {
-    if (auto s = spool_.take()) {
-      metrics_.gauge("spool_ready").set(
-          static_cast<std::int64_t>(spool_.ready()));
-      spool_cv_.notify_all();
-      return std::move(*s);
-    }
-    if (producer_stop_.load(std::memory_order_relaxed))
-      throw net::NetError("evbroker stopping: spool drained");
-    metrics_.counter("spool_empty_waits").inc();
-    std::unique_lock<std::mutex> lock(spool_mu_);
-    spool_cv_.wait_for(lock, std::chrono::milliseconds(20));
-  }
-}
-
-proto::PrecomputedSessionV3 EvBroker::take_v3_blocking() {
-  for (;;) {
-    if (auto s = spool_.take_v3(v3_reg_.lineage())) {
-      metrics_.gauge("spool_ready_v3").set(
-          static_cast<std::int64_t>(spool_.ready_v3()));
-      spool_cv_.notify_all();
-      return std::move(*s);
-    }
-    if (producer_stop_.load(std::memory_order_relaxed))
-      throw net::NetError("evbroker stopping: spool drained");
-    metrics_.counter("spool_empty_waits").inc();
-    std::unique_lock<std::mutex> lock(spool_mu_);
-    spool_cv_.wait_for(lock, std::chrono::milliseconds(20));
-  }
-}
-
-void EvBroker::producer_loop() {
-  while (!producer_stop_.load(std::memory_order_relaxed)) {
-    const std::size_t ready = spool_.ready();
-    const std::size_t ready_v3 =
-        cfg_.allow_v3 ? spool_.ready_v3() : cfg_.spool_high_watermark;
-    if (ready >= cfg_.spool_low_watermark &&
-        ready_v3 >= cfg_.spool_low_watermark) {
-      std::unique_lock<std::mutex> lock(spool_mu_);
-      spool_cv_.wait_for(lock, std::chrono::milliseconds(50));
-      continue;
-    }
-    if (ready < cfg_.spool_low_watermark) {
-      const std::size_t batch = cfg_.spool_high_watermark - ready;
-      std::vector<proto::PrecomputedSession> fresh(batch);
-      pool_.parallel_for(batch, [&](std::size_t item, std::size_t core) {
-        fresh[item] = proto::garble_session(circ_, cfg_.scheme,
-                                            cfg_.rounds_per_session,
-                                            pool_.core_rng(core));
-      });
-      for (auto& s : fresh) spool_.put(std::move(s));
-      precomputed_.fetch_add(batch, std::memory_order_relaxed);
-      metrics_.gauge("spool_ready").set(
-          static_cast<std::int64_t>(spool_.ready()));
-    }
-    if (ready_v3 < cfg_.spool_low_watermark) {
-      const std::size_t batch = cfg_.spool_high_watermark - ready_v3;
-      std::vector<proto::PrecomputedSessionV3> fresh(batch);
-      pool_.parallel_for(batch, [&](std::size_t item, std::size_t core) {
-        auto& rng = pool_.core_rng(core);
-        fresh[item] = proto::garble_session_v3(circ_, v3_an_, v3_g_bits_,
-                                               v3_reg_.delta(),
-                                               rng.next_block(), rng);
-      });
-      for (auto& s : fresh) spool_.put_v3(s);
-      precomputed_.fetch_add(batch, std::memory_order_relaxed);
-      metrics_.gauge("spool_ready_v3").set(
-          static_cast<std::int64_t>(spool_.ready_v3()));
-    }
-    spool_cv_.notify_all();
-  }
-}
 
 // --- shard event handling ---------------------------------------------------
 
@@ -346,9 +189,7 @@ bool EvBroker::busy_reject(Shard& sh) {
            MSG_DONTWAIT | MSG_NOSIGNAL);
     ::shutdown(cfd, SHUT_WR);
     ::close(cfd);
-    metrics_.counter("admission_rejects").inc();
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    ++admission_rejects_;
+    core_.count_admission_reject();
     admitted = true;
   }
   sh.spare.reacquire();
@@ -358,7 +199,7 @@ bool EvBroker::busy_reject(Shard& sh) {
 void EvBroker::add_conn(Shard& sh, int cfd) {
   int one = 1;
   ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  auto conn = std::make_unique<EvConn>(serve_ctx_);
+  auto conn = std::make_unique<EvConn>(core_.context());
   EvConn* c = conn.get();
   c->fd = cfd;
   c->last_activity = EvLoop::now_ms();
@@ -485,72 +326,26 @@ void EvBroker::finish_conn(Shard& sh, EvConn* c, bool evicted_idle) {
 }
 
 void EvBroker::record_result(Shard& sh, EvConn& c, bool evicted_idle) {
-  EvSession& s = c.session;
-  net::ServerStats local = s.stats();
-  if (s.done()) {
-    metrics_.histogram("handshake_seconds").observe(local.handshake_seconds);
-    metrics_.histogram("transfer_seconds").observe(local.transfer_seconds);
-    metrics_.histogram("ot_seconds").observe(local.ot_seconds);
-    metrics_.histogram("session_seconds").observe(s.session_seconds());
-    metrics_.counter("sessions_served").inc();
-    metrics_.counter("rounds_served").inc(local.rounds_served);
-    if (local.stream_sessions_served != 0) {
-      metrics_.counter("stream_sessions_served").inc();
-      metrics_.histogram("first_table_seconds")
-          .observe(local.first_table_seconds);
+  const EvSession& s = c.session;
+  net::ServedSession r;
+  r.stats = s.stats();
+  r.mode = s.mode_name();
+  r.session_seconds = s.session_seconds();
+  if (!s.done()) {
+    if (evicted_idle) {
+      r.failure = net::SessionFailure::kIdleTimeout;
+      r.error = "evicted idle peer";
+    } else {
+      r.failure = s.error() == EvError::kHandshake
+                      ? net::SessionFailure::kHandshake
+                  : s.error() == EvError::kPeerClosed
+                      ? net::SessionFailure::kPeerClosed
+                      : net::SessionFailure::kOther;
+      r.error = s.error_text();
     }
-    if (local.v3_sessions_served != 0)
-      metrics_.counter("v3_sessions_served").inc();
-    if (local.reusable_sessions_served != 0) {
-      metrics_.counter("reusable_sessions_served").inc();
-      spool_.add_reusable_evaluations(reusable_key_,
-                                      cfg_.rounds_per_session);
-    }
-    auto& peak = metrics_.gauge("peak_resident_tables");
-    if (static_cast<std::int64_t>(local.peak_resident_tables) > peak.value())
-      peak.set(static_cast<std::int64_t>(local.peak_resident_tables));
-    const char* mode = s.mode_name();
-    metrics_.counter(std::string("net_tx_bytes_") + mode)
-        .inc(s.channel().bytes_sent());
-    metrics_.counter(std::string("net_rx_bytes_") + mode)
-        .inc(s.channel().bytes_received());
-    const std::uint64_t total =
-        sessions_served_total_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (cfg_.verbose)
-      std::fprintf(stderr,
-                   "[evbroker] shard %zu served session %llu (%s)\n",
-                   sh.index, static_cast<unsigned long long>(total), mode);
-    if (cfg_.max_sessions != 0 && total >= cfg_.max_sessions) request_stop();
-  } else if (evicted_idle) {
-    ++local.idle_timeouts;
-    ++local.connection_errors;
-    metrics_.counter("idle_timeouts").inc();
-    metrics_.counter("connection_errors").inc();
-    if (cfg_.verbose)
-      std::fprintf(stderr, "[evbroker] shard %zu evicted idle peer\n",
-                   sh.index);
-  } else {
-    switch (s.error()) {
-      case EvError::kHandshake:
-        ++local.handshakes_rejected;
-        metrics_.counter("handshakes_rejected").inc();
-        break;
-      case EvError::kPeerClosed:
-        ++local.connection_errors;
-        metrics_.counter("peer_disconnects").inc();
-        metrics_.counter("connection_errors").inc();
-        break;
-      default:
-        ++local.connection_errors;
-        metrics_.counter("connection_errors").inc();
-        break;
-    }
-    if (cfg_.verbose)
-      std::fprintf(stderr, "[evbroker] shard %zu session error: %s\n",
-                   sh.index, s.error_text().c_str());
+    net::count_failure(r.stats, r.failure);
   }
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  shard_stats_[sh.index].merge(local);
+  if (core_.record(sh.index, r)) request_stop();
 }
 
 // --- lifecycle --------------------------------------------------------------
@@ -574,34 +369,11 @@ void EvBroker::request_stop() {
 }
 
 void EvBroker::run() {
-  const auto t0 = Clock::now();
-  producer_stop_.store(false, std::memory_order_relaxed);
-  std::thread producer([this] { producer_loop(); });
-  for (auto& sh : shards_)
-    sh->thread = std::thread([this, s = sh.get()] { shard_loop(*s); });
-  for (auto& sh : shards_) sh->thread.join();
-  // The producer outlives the shards so an in-flight session that still
-  // needed a spool refill during drain could get one.
-  producer_stop_.store(true, std::memory_order_relaxed);
-  spool_cv_.notify_all();
-  producer.join();
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  accept_wall_seconds_ += seconds_since(t0);
-}
-
-svc::BrokerStats EvBroker::stats() const {
-  svc::BrokerStats st;
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    for (const auto& ss : shard_stats_) st.server.merge(ss);
-    st.admission_rejects = admission_rejects_;
-    st.server.total_seconds = accept_wall_seconds_;
-  }
-  st.server.reusable_garbles += reusable_garbles_;
-  st.server.sessions_precomputed =
-      precomputed_.load(std::memory_order_relaxed);
-  st.spool = spool_.stats();
-  return st;
+  core_.run([this] {
+    for (auto& sh : shards_)
+      sh->thread = std::thread([this, s = sh.get()] { shard_loop(*s); });
+    for (auto& sh : shards_) sh->thread.join();
+  });
 }
 
 }  // namespace maxel::evloop

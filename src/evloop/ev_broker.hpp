@@ -4,10 +4,11 @@
 // thread-per-connection worker pool. 10k concurrent sessions cost 10k
 // fds and state machines, not 10k stacks.
 //
-// Shared state across shards (same objects the blocking svc::Broker
-// uses): one SessionSpool, one V3PoolRegistry (one garbling delta), one
-// read-only reusable artifact, one MetricsRegistry, one producer thread
-// keeping the spool between its watermarks. Per-client pool phases are
+// Shared state across shards lives in one svc::SpoolCore, the same core
+// the blocking svc::Broker runs on: one SessionSpool, one
+// V3PoolRegistry (one garbling delta), one read-only reusable artifact,
+// one MetricsRegistry, one producer thread keeping the spool between
+// its watermarks. Per-client pool phases are
 // serialized by Entry::ev_gate (see evloop/session.hpp), so two shards
 // serving the same client never interleave wire phases.
 //
@@ -26,26 +27,16 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "circuit/circuits.hpp"
-#include "core/gc_core_pool.hpp"
-#include "gc/v3.hpp"
-#include "net/handshake.hpp"
-#include "net/reusable_service.hpp"
-#include "net/server.hpp"
+#include "net/serve_core.hpp"
 #include "net/tcp_channel.hpp"
-#include "net/v3_service.hpp"
-#include "svc/broker.hpp"
 #include "svc/metrics.hpp"
-#include "svc/session_spool.hpp"
+#include "svc/spool_core.hpp"
 
 #include "evloop/event_loop.hpp"
 #include "evloop/session.hpp"
@@ -71,33 +62,10 @@ class SpareFd {
   int fd_ = -1;
 };
 
-struct EvBrokerConfig {
-  std::string bind_addr = "0.0.0.0";
-  std::uint16_t port = 7117;  // 0 picks an ephemeral port (EvBroker::port())
-  std::size_t bits = 16;
-  gc::Scheme scheme = gc::Scheme::kHalfGates;
-  std::size_t rounds_per_session = 128;
-  std::uint64_t demo_seed = 7;
-
+struct EvBrokerConfig : svc::SpoolServeOptions {
+  EvBrokerConfig() { verbose = false; }
   std::size_t shards = 2;     // event-loop threads (>= 1)
   int listen_backlog = 1024;  // deep enough for 10k-client connect bursts
-
-  std::string spool_dir;  // required
-  std::size_t spool_low_watermark = 2;
-  std::size_t spool_high_watermark = 8;
-  std::size_t ram_cache_sessions = 4;
-  std::size_t precompute_cores = 0;  // 0 = hardware concurrency
-
-  std::uint64_t max_sessions = 0;  // stop after this many; 0 = forever
-  bool verbose = false;
-  std::size_t stream_chunk_rounds = 16;
-  bool allow_stream = true;
-  bool allow_v3 = true;
-  bool allow_reusable = true;
-  net::TcpOptions tcp;
-  // Per-connection idle deadline; when 0, tcp.recv_timeout_ms bounds a
-  // silent peer instead (same default the blocking transport enforces).
-  int idle_timeout_ms = 0;
 };
 
 class EvBroker {
@@ -116,22 +84,26 @@ class EvBroker {
   void run();
   void request_stop();
 
-  [[nodiscard]] svc::BrokerStats stats() const;
-  [[nodiscard]] svc::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] const circuit::Circuit& circuit() const { return circ_; }
+  [[nodiscard]] svc::BrokerStats stats() const { return core_.stats(); }
+  [[nodiscard]] svc::MetricsRegistry& metrics() { return core_.metrics(); }
+  [[nodiscard]] const circuit::Circuit& circuit() const {
+    return core_.served().circuit();
+  }
   [[nodiscard]] std::uint64_t v3_outstanding_claims() const {
-    return v3_reg_.outstanding_claims();
+    return core_.served().registry().outstanding_claims();
   }
 
   // Load-generation hooks: the in-process loadgen fabricates client OT
   // pools directly into the live registry and cans byte streams against
   // the reusable artifact + expectation (see evloop/loadgen.hpp).
-  [[nodiscard]] net::V3PoolRegistry& v3_registry() { return v3_reg_; }
+  [[nodiscard]] net::V3PoolRegistry& v3_registry() {
+    return core_.served().registry();
+  }
   [[nodiscard]] const net::ReusableServeContext* reusable_context() const {
-    return reusable_ctx_ ? &*reusable_ctx_ : nullptr;
+    return core_.context().reusable;
   }
   [[nodiscard]] const net::ServerExpectation& expectation() const {
-    return expect_;
+    return core_.context().expect;
   }
 
  private:
@@ -150,45 +122,18 @@ class EvBroker {
   // EMFILE path; false when even the freed spare couldn't admit one.
   bool busy_reject(Shard& sh);
   void begin_drain(Shard& sh);
-  void producer_loop();
-  proto::PrecomputedSession take_session_blocking();
-  proto::PrecomputedSessionV3 take_v3_blocking();
-  void ensure_reusable();
   [[nodiscard]] std::uint64_t idle_deadline_ms() const;
 
   EvBrokerConfig cfg_;
-  circuit::Circuit circ_;
-  gc::V3Analysis v3_an_;
-  net::V3PoolRegistry v3_reg_;
-  std::vector<std::vector<bool>> v3_g_bits_;
-  net::ServerExpectation expect_;
-  svc::SessionSpool spool_;
-  core::GcCorePool pool_;
-  EvServeContext serve_ctx_;
+  svc::SpoolCore core_;
   std::vector<std::uint8_t> busy_reject_bytes_;
-
-  std::optional<net::ReusableServeContext> reusable_ctx_;
-  std::string reusable_key_;
-  std::uint64_t reusable_garbles_ = 0;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint16_t port_ = 0;
 
   std::atomic<bool> stop_{false};
-  std::atomic<bool> producer_stop_{false};
-  std::atomic<std::uint64_t> sessions_served_total_{0};
-  std::atomic<std::uint64_t> precomputed_{0};
   std::atomic<std::int64_t> open_conns_{0};
 
-  std::mutex spool_mu_;
-  std::condition_variable spool_cv_;
-
-  mutable std::mutex stats_mu_;
-  std::vector<net::ServerStats> shard_stats_;
-  std::uint64_t admission_rejects_ = 0;
-  double accept_wall_seconds_ = 0;
-
-  svc::MetricsRegistry metrics_;
   // Hot-path gauges, resolved once (registry lookup takes a mutex).
   svc::Gauge* g_open_fds_ = nullptr;
   svc::Gauge* g_ready_depth_ = nullptr;

@@ -6,14 +6,10 @@
 namespace maxel::evloop {
 
 // maxelctl serve --evloop --spool DIR [--shards N] [--backlog B]
-//   [--low L] [--high H] [--cache C] [--port P] [--bind A] [--bits N]
-//   [--rounds M] [--scheme halfgates|grr3|classic4] [--cores K]
-//   [--seed S] [--sessions K] [--mode precomputed|stream|v3|reusable]
-//   [--idle-timeout MS] [--metrics FILE] [--json FILE] [--quiet]
+//   [the broker flags of svc/service.hpp]
 // Runs the sharded EvBroker. maxelctl routes `serve` here when
-// --evloop is present; the blocking Broker (and its --workers/--queue
-// knobs) is otherwise unchanged. --mode gates the optional session
-// families exactly like the other servers.
+// --evloop is present. Takes no --fault-plan (and ignores
+// MAXEL_FAULT_PLAN): fault injection wraps blocking channels only.
 int evloop_command(int argc, char** argv);
 
 }  // namespace maxel::evloop

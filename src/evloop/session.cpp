@@ -63,11 +63,10 @@ void EvSession::fail(EvError kind, const std::string& what) {
   ch_.flush();
 }
 
-void EvSession::on_bytes(const std::uint8_t* data, std::size_t n) {
-  if (state_ == St::kDone || state_ == St::kFailed) return;
+template <class F>
+void EvSession::guarded(F&& f) {
   try {
-    if (n > 0) ch_.ingest(data, n);
-    advance();
+    f();
   } catch (const net::HandshakeError& e) {
     fail(EvError::kHandshake, e.what());
   } catch (const net::PeerClosedError& e) {
@@ -77,6 +76,14 @@ void EvSession::on_bytes(const std::uint8_t* data, std::size_t n) {
   } catch (const std::exception& e) {
     fail(EvError::kOther, e.what());
   }
+}
+
+void EvSession::on_bytes(const std::uint8_t* data, std::size_t n) {
+  if (state_ == St::kDone || state_ == St::kFailed) return;
+  guarded([&] {
+    if (n > 0) ch_.ingest(data, n);
+    advance();
+  });
 }
 
 void EvSession::on_peer_eof() {
@@ -88,17 +95,7 @@ void EvSession::on_gate_retry() {
   if (!wants_gate_retry_ || state_ == St::kDone || state_ == St::kFailed)
     return;
   wants_gate_retry_ = false;
-  try {
-    advance();
-  } catch (const net::HandshakeError& e) {
-    fail(EvError::kHandshake, e.what());
-  } catch (const net::PeerClosedError& e) {
-    fail(EvError::kPeerClosed, e.what());
-  } catch (const net::NetError& e) {
-    fail(EvError::kNet, e.what());
-  } catch (const std::exception& e) {
-    fail(EvError::kOther, e.what());
-  }
+  guarded([&] { advance(); });
 }
 
 void EvSession::advance() {
@@ -385,49 +382,22 @@ void EvSession::pool_gate_step() {
     re_setup_part_a();
 }
 
-void EvSession::v3_setup_part_a() {
-  const proto::V3ClientSetup cs = proto::recv_client_setup(ch_);
-  {
-    // ev_gate serializes the wire phases; io_mu still guards the entry's
-    // pointer fields against concurrent registry snapshots.
-    const std::lock_guard<std::mutex> io(entry_->io_mu);
-    const bool resume = entry_->pool && ext_->has_ticket &&
-                        ext_->ticket.pool_id == entry_->pool->pool_id() &&
-                        ext_->ticket.cookie == entry_->cookie &&
-                        ext_->ticket.client_id == ext_->client_id &&
-                        cs.extended == entry_->pool->extended();
-    if (!resume) {
-      entry_->pool = std::make_shared<ot::CorrelatedPoolSender>(
-          ctx_->reg->delta(), ctx_->reg->next_pool_id());
-      entry_->cookie = ctx_->reg->next_block();
-      fresh_pool_ = true;
-    }
-    pool_ = entry_->pool;
-    cookie_ = entry_->cookie;
-  }
+net::PoolGrant EvSession::take_grant(std::uint64_t client_extended) {
+  // ev_gate serializes the wire phases; io_mu still guards the entry's
+  // pointer fields against concurrent registry snapshots.
+  const std::lock_guard<std::mutex> io(entry_->io_mu);
+  const net::PoolGrant g = net::grant_pool(*ctx_->reg, *entry_, *ext_,
+                                           client_extended, need_total_);
+  pool_ = g.pool;
+  cookie_ = g.cookie;
+  fresh_pool_ = g.fresh;
+  extend_count_ = g.extend;
+  claim_start_expected_ = g.start;
+  return g;
+}
 
-  const ot::PoolStats pst = pool_->stats();
-  extend_count_ = 0;
-  if (pst.available() < need_total_) {
-    const std::uint64_t deficit = need_total_ - pst.available();
-    extend_count_ =
-        ((deficit + ot::kPoolExtendBatch - 1) / ot::kPoolExtendBatch) *
-        ot::kPoolExtendBatch;
-    extend_count_ = std::min<std::uint64_t>(
-        extend_count_, static_cast<std::uint64_t>(ot::kMaxPoolExtend));
-  }
-  claim_start_expected_ = pst.claimed + pst.consumed + pst.discarded;
-
-  proto::V3ServerSetup ss;
-  ss.fresh = fresh_pool_;
-  ss.pool_id = pool_->pool_id();
-  ss.cookie = cookie_;
-  ss.start_index = claim_start_expected_;
-  ss.claim_count = need_total_;
-  ss.extend_count = extend_count_;
-  proto::send_server_setup(ch_, ss);
+void EvSession::enter_pool_setup() {
   ch_.flush();
-
   if (fresh_pool_)
     state_ = St::kPoolBase2;
   else if (extend_count_ > 0)
@@ -436,59 +406,26 @@ void EvSession::v3_setup_part_a() {
     finish_pool_setup();
 }
 
+void EvSession::v3_setup_part_a() {
+  proto::V3ServerSetup ss;
+  net::stamp_setup(ss, take_grant(proto::recv_client_setup(ch_).extended),
+                   need_total_);
+  proto::send_server_setup(ch_, ss);
+  enter_pool_setup();
+}
+
 void EvSession::re_setup_part_a() {
   const proto::ReusableClientSetup cs =
       proto::recv_reusable_client_setup(ch_);
-  {
-    const std::lock_guard<std::mutex> io(entry_->io_mu);
-    const bool resume = entry_->pool && ext_->has_ticket &&
-                        ext_->ticket.pool_id == entry_->pool->pool_id() &&
-                        ext_->ticket.cookie == entry_->cookie &&
-                        ext_->ticket.client_id == ext_->client_id &&
-                        cs.extended == entry_->pool->extended();
-    if (!resume) {
-      entry_->pool = std::make_shared<ot::CorrelatedPoolSender>(
-          ctx_->reg->delta(), ctx_->reg->next_pool_id());
-      entry_->cookie = ctx_->reg->next_block();
-      fresh_pool_ = true;
-    }
-    pool_ = entry_->pool;
-    cookie_ = entry_->cookie;
-  }
-
-  const ot::PoolStats pst = pool_->stats();
-  extend_count_ = 0;
-  if (pst.available() < need_total_) {
-    const std::uint64_t deficit = need_total_ - pst.available();
-    extend_count_ =
-        ((deficit + ot::kPoolExtendBatch - 1) / ot::kPoolExtendBatch) *
-        ot::kPoolExtendBatch;
-    extend_count_ = std::min<std::uint64_t>(
-        extend_count_, static_cast<std::uint64_t>(ot::kMaxPoolExtend));
-  }
-  claim_start_expected_ = pst.claimed + pst.consumed + pst.discarded;
-
+  proto::ReusableServerSetup ss;
+  net::stamp_setup(ss, take_grant(cs.extended), need_total_);
   artifact_sent_ =
       !(cs.has_artifact && cs.artifact_sha == ctx_->reusable->view_sha);
-  proto::ReusableServerSetup ss;
-  ss.fresh = fresh_pool_;
-  ss.pool_id = pool_->pool_id();
-  ss.cookie = cookie_;
-  ss.start_index = claim_start_expected_;
-  ss.claim_count = need_total_;
-  ss.extend_count = extend_count_;
   ss.artifact_bytes =
       artifact_sent_ ? ctx_->reusable->view_bytes.size() : 0;
   ss.artifact_sha = ctx_->reusable->view_sha;
   proto::send_reusable_server_setup(ch_, ss);
-  ch_.flush();
-
-  if (fresh_pool_)
-    state_ = St::kPoolBase2;
-  else if (extend_count_ > 0)
-    state_ = St::kPoolExtend;
-  else
-    finish_pool_setup();
+  enter_pool_setup();
 }
 
 void EvSession::finish_pool_setup() {

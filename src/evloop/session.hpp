@@ -1,8 +1,9 @@
 // Non-blocking session state machine: one EvSession per accepted
 // connection, advanced by buffered bytes instead of owning a thread.
 //
-// The wire behavior is byte-identical to the blocking serve paths
-// (net::Server / svc::Broker): the same handshake, the same four
+// The wire behavior is byte-identical to the shared blocking dispatch
+// (net::serve_connection in net/serve_core.hpp, which net::Server and
+// the svc::Broker workers run): the same handshake, the same four
 // session modes, the same OT phase cadence. The difference is control
 // flow — every blocking recv in the original code becomes a parked
 // state with a known byte need, and the event loop resumes the machine
@@ -22,7 +23,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -36,7 +36,7 @@
 #include "net/demo_inputs.hpp"
 #include "net/handshake.hpp"
 #include "net/reusable_service.hpp"
-#include "net/server.hpp"
+#include "net/serve_core.hpp"
 #include "net/v3_service.hpp"
 #include "ot/base_ot.hpp"
 #include "ot/iknp.hpp"
@@ -44,22 +44,11 @@
 
 namespace maxel::evloop {
 
-// Everything a shard shares across its sessions. The registry and the
-// reusable context are process-wide (shared across shards); the
-// take_session / take_v3 callbacks front the spool.
-struct EvServeContext {
-  const circuit::Circuit* circ = nullptr;
-  net::ServerExpectation expect;
-  net::V3PoolRegistry* reg = nullptr;
-  const net::ReusableServeContext* reusable = nullptr;  // null: mode off
-  std::size_t bits = 16;
-  std::size_t rounds = 128;
-  std::uint64_t demo_seed = 7;
-  gc::Scheme scheme = gc::Scheme::kHalfGates;
-  std::size_t stream_chunk_rounds = 16;
-  std::function<proto::PrecomputedSession()> take_session;
-  std::function<proto::PrecomputedSessionV3()> take_v3;
-};
+// Everything a shard shares across its sessions: the one serve context
+// every front builds (net/serve_core.hpp). The registry and the reusable
+// context are process-wide (shared across shards); the take_session /
+// take_v3 callbacks front the spool.
+using EvServeContext = net::ServeContext;
 
 // Failure taxonomy mirroring the blocking brokers' catch ladder, so the
 // owning connection bumps the same metrics.
@@ -122,6 +111,9 @@ class EvSession {
 
   using Clock = std::chrono::steady_clock;
 
+  // Runs f, absorbing any throw into the failed() state.
+  template <class F>
+  void guarded(F&& f);
   void advance();
   void step();
   [[nodiscard]] std::size_t current_need() const;
@@ -134,6 +126,8 @@ class EvSession {
   void begin_pre_round();
   void start_stream_chunk();
   void pool_gate_step();   // kV3Gate / kReGate action once the gate is won
+  net::PoolGrant take_grant(std::uint64_t client_extended);  // + members
+  void enter_pool_setup();  // next state once the server setup is staged
   void v3_setup_part_a();
   void re_setup_part_a();
   void finish_pool_setup();  // claim + ticket (+artifact), releases gate

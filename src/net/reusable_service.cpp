@@ -8,7 +8,7 @@
 #include "net/demo_inputs.hpp"
 #include "net/error.hpp"
 #include "net/handshake.hpp"
-#include "net/server.hpp"
+#include "net/serve_core.hpp"
 #include "proto/reusable_io.hpp"
 #include "proto/v3_records.hpp"
 
@@ -98,64 +98,22 @@ ReusableServeOutcome serve_reusable_session(proto::Channel& ch,
   {
     const std::lock_guard<std::mutex> io(entry->io_mu);
     const proto::ReusableClientSetup cs = proto::recv_reusable_client_setup(ch);
-
-    // Same resume rule as serve_v3_session: full agreement or a fresh
-    // pool — the modes share the registry, so a client may alternate v3
-    // and reusable sessions off one pool and one ticket.
-    const bool resume = entry->pool && ext.has_ticket &&
-                        ext.ticket.pool_id == entry->pool->pool_id() &&
-                        ext.ticket.cookie == entry->cookie &&
-                        ext.ticket.client_id == ext.client_id &&
-                        cs.extended == entry->pool->extended();
-    if (!resume) {
-      entry->pool = std::make_shared<ot::CorrelatedPoolSender>(
-          reg.delta(), reg.next_pool_id());
-      entry->cookie = reg.next_block();
-      out.fresh_pool = true;
-    }
-    pool = entry->pool;
-
-    const ot::PoolStats pst = pool->stats();
-    std::uint64_t extend_count = 0;
-    if (pst.available() < need) {
-      const std::uint64_t deficit = need - pst.available();
-      extend_count = ((deficit + ot::kPoolExtendBatch - 1) /
-                      ot::kPoolExtendBatch) *
-                     ot::kPoolExtendBatch;
-      extend_count = std::min<std::uint64_t>(
-          extend_count, static_cast<std::uint64_t>(ot::kMaxPoolExtend));
-    }
-    const std::uint64_t start = pst.claimed + pst.consumed + pst.discarded;
+    // Same grant as serve_v3_session: the modes share the registry, so a
+    // client may alternate v3 and reusable sessions off one pool and one
+    // ticket.
+    const PoolGrant g = grant_pool(reg, *entry, ext, cs.extended, need);
+    pool = g.pool;
+    out.fresh_pool = g.fresh;
+    out.extended = g.extend;
 
     out.artifact_sent = !(cs.has_artifact && cs.artifact_sha == ctx.view_sha);
     proto::ReusableServerSetup ss;
-    ss.fresh = out.fresh_pool;
-    ss.pool_id = pool->pool_id();
-    ss.cookie = entry->cookie;
-    ss.start_index = start;
-    ss.claim_count = need;
-    ss.extend_count = extend_count;
+    stamp_setup(ss, g, need);
     ss.artifact_bytes = out.artifact_sent ? ctx.view_bytes.size() : 0;
     ss.artifact_sha = ctx.view_sha;
     proto::send_reusable_server_setup(ch, ss);
     ch.flush();
-
-    if (out.fresh_pool) {
-      crypto::SystemRandom setup_rng(reg.next_block());
-      pool->base_setup_step2(ch, setup_rng);
-      pool->base_setup_step4();
-    }
-    if (extend_count > 0) {
-      pool->extend(ch, extend_count);
-      out.extended = extend_count;
-    }
-    claim = pool->claim(need);
-    if (claim.start != start)
-      throw std::logic_error(
-          "serve_reusable_session: claim raced despite io_mu");
-    proto::send_ticket(ch, proto::ResumptionTicket{pool->pool_id(),
-                                                   ext.client_id,
-                                                   entry->cookie});
+    claim = open_claim(ch, reg, g, ext, need);
     if (out.artifact_sent)
       ch.send_bytes(ctx.view_bytes.data(), ctx.view_bytes.size());
     ch.flush();

@@ -38,7 +38,7 @@
 
 namespace maxel::net {
 
-struct ServerStats;  // server.hpp
+struct ServerStats;  // serve_core.hpp
 
 // Garbles `c` once and stamps the transport identity (fingerprint via
 // net::circuit_fingerprint, bit width as given) into the view.

@@ -1,16 +1,15 @@
 // Garbler-side network server: the cloud host of Fig. 1.
 //
-// Serves precomputed garbling sessions to remote evaluator clients over
-// TCP. One connection = one handshake + one session: the server pops a
-// pre-garbled session from its GarblingBank and streams each round's
-// tables/labels, running the online OT per round. A background thread
-// keeps the bank stocked, garbling fresh sessions in parallel on a
+// Serves garbling sessions to remote evaluator clients over TCP, one
+// connection at a time: the accept loop hands each connection to the
+// shared blocking dispatch (net::serve_connection in serve_core.hpp).
+// Precomputed v2 sessions come from a RAM GarblingBank that a
+// background thread keeps stocked, garbling in parallel on a
 // core::GcCorePool (the software stand-in for the accelerator streaming
-// tables up over PCIe while the host serves traffic).
-//
-// Serving is sequential (one client at a time) in this PR; the
-// accept/handshake/session split is the seam where multi-client serving
-// and async I/O attach later.
+// tables up over PCIe while the host serves traffic); v3 sessions are
+// garbled inline at serve time. Concurrent serving lives in the two
+// brokers (svc::Broker worker pool, evloop::EvBroker shards), which
+// run the same dispatch off a disk spool.
 #pragma once
 
 #include <atomic>
@@ -18,128 +17,32 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 
 #include "circuit/circuits.hpp"
 #include "core/gc_core_pool.hpp"
 #include "crypto/rng.hpp"
-#include "gc/scheme.hpp"
 #include "net/fault.hpp"
-#include "net/handshake.hpp"
-#include "net/reusable_service.hpp"
+#include "net/serve_core.hpp"
 #include "net/tcp_channel.hpp"
-#include "net/v3_service.hpp"
 #include "proto/precompute.hpp"
 
 namespace maxel::net {
 
-struct ServerConfig {
-  std::string bind_addr = "0.0.0.0";
-  std::uint16_t port = 7117;  // 0 picks an ephemeral port (Server::port())
-  std::size_t bits = 16;
-  gc::Scheme scheme = gc::Scheme::kHalfGates;
-  std::size_t rounds_per_session = 128;
+struct ServerConfig : ServeOptions {
   std::size_t bank_low_watermark = 2;  // refill when ready sessions < this
   std::size_t bank_batch = 2;          // sessions garbled per refill pass
-  std::size_t precompute_cores = 0;    // 0 = hardware concurrency
-  std::uint64_t demo_seed = 7;         // public demo-input seed (see demo_inputs.hpp)
-  std::uint64_t max_sessions = 0;      // stop after serving this many; 0 = run until stop()
   int accept_poll_ms = 200;            // stop-flag poll period of the accept loop
-  bool verbose = true;                 // per-session log line on stderr
-  // Stream-mode (garble-while-transfer) tuning: rounds per chunk and
-  // the backpressure queue bound, in chunks. Per-session garbling RAM
-  // is O(chunk_rounds * queue_chunks) tables instead of O(rounds).
-  std::size_t stream_chunk_rounds = 16;
+  // Stream-mode backpressure bound, in chunks. Per-session garbling RAM
+  // is O(stream_chunk_rounds * stream_queue_chunks) tables instead of
+  // O(rounds).
   std::size_t stream_queue_chunks = 4;
-  bool allow_stream = true;            // reject kStream hellos when false
-  bool allow_v3 = true;                // accept protocol-v3 hellos
-  // Serve SessionMode::kReusable (garble-once artifact; weaker garbler
-  // privacy — docs/SECURITY_MODELS.md). Needs allow_v3: the reusable
-  // flow rides the v3 hello extension and OT pool.
-  bool allow_reusable = true;
-  TcpOptions tcp;
-  // Per-connection idle deadline: when > 0 it overrides both
-  // tcp.recv_timeout_ms and tcp.send_timeout_ms, so a client that goes
-  // silent (or stops draining) frees its worker within this bound
-  // instead of pinning it for the transport defaults.
-  int idle_timeout_ms = 0;
   // Deterministic fault schedule (fault.hpp grammar) wrapped around
   // every accepted connection; empty = no injection. One injector spans
   // the server's lifetime, so each event fires once across connections.
   std::string fault_plan;
 };
-
-struct ServerStats {
-  std::uint64_t sessions_served = 0;
-  std::uint64_t rounds_served = 0;
-  std::uint64_t handshakes_rejected = 0;
-  std::uint64_t connection_errors = 0;
-  std::uint64_t idle_timeouts = 0;  // subset of connection_errors
-  std::uint64_t bytes_sent = 0;      // payload bytes, summed over sessions
-  std::uint64_t bytes_received = 0;
-  std::uint64_t sessions_precomputed = 0;
-  std::uint64_t stream_sessions_served = 0;  // subset of sessions_served
-  std::uint64_t v3_sessions_served = 0;      // subset of sessions_served
-  // Reusable-mode sessions (subset of sessions_served) and how many of
-  // them had to ship the artifact view (the rest ran off the client's
-  // hash-confirmed cache).
-  std::uint64_t reusable_sessions_served = 0;
-  std::uint64_t reusable_artifacts_sent = 0;
-  std::uint64_t reusable_garbles = 0;  // times a reusable artifact was built
-  std::uint64_t v3_fresh_pools = 0;   // v3/reusable sessions that paid a base OT
-  std::uint64_t v3_ot_extended = 0;   // correlated-OT indices materialized
-  // Most tables resident server-side for any single session: the whole
-  // session for precomputed mode, the bounded chunk queue for stream
-  // mode. Merged with max, not sum — it is a high-water mark.
-  std::uint64_t peak_resident_tables = 0;
-  double handshake_seconds = 0;
-  double transfer_seconds = 0;  // garbled tables + labels push
-  double ot_seconds = 0;        // OT setup + per-round label OT
-  double first_table_seconds = 0;  // session start -> first tables on the wire
-  double total_seconds = 0;     // serve() wall time
-
-  // Accumulates another stats block into this one (counters and timers
-  // are additive, high-water marks take the max) — how the broker folds
-  // per-worker stats into one service-wide snapshot.
-  void merge(const ServerStats& other);
-
-  [[nodiscard]] std::string to_json() const;
-};
-
-// Serves one pre-garbled session to a handshaken client: IKNP setup (if
-// the hello asked for it), then per round table/label push + label OT.
-// This is the single-connection core shared by net::Server and
-// svc::Broker; the caller owns handshake, session sourcing, and error
-// accounting. Timings and byte/round counters are accumulated into
-// `stats` (bytes are read off the channel's counters, so pass a
-// fresh-per-connection channel).
-void serve_precomputed_session(proto::Channel& ch, const ClientHello& hello,
-                               proto::PrecomputedSession session,
-                               std::size_t rounds, std::size_t bits,
-                               std::uint64_t demo_seed,
-                               crypto::RandomSource& rng, ServerStats& stats);
-
-// Stream-mode tuning knobs shared by net::Server and svc::Broker.
-struct StreamOptions {
-  std::size_t chunk_rounds = 16;  // rounds per wire chunk
-  std::size_t queue_chunks = 4;   // backpressure bound on garbled chunks
-};
-
-// Serves one garble-while-transfer session to a handshaken client that
-// asked for SessionMode::kStream: a gc::StreamingGarbler produces
-// chunks of rounds on its own thread while this thread ships each chunk
-// (proto::send_chunk) and runs the per-round label OT — garbling, TCP
-// transfer and remote evaluation overlap, and resident garbled state is
-// bounded by the chunk queue instead of the whole session. Same caller
-// contract as serve_precomputed_session.
-void serve_streaming_session(proto::Channel& ch, const ClientHello& hello,
-                             const circuit::Circuit& circ, gc::Scheme scheme,
-                             std::size_t rounds, std::size_t bits,
-                             const StreamOptions& stream,
-                             std::uint64_t demo_seed,
-                             crypto::RandomSource& rng, ServerStats& stats);
 
 class Server {
  public:
@@ -163,31 +66,23 @@ class Server {
   // bumping sessions_precomputed) until destruction, so this takes the
   // bank lock rather than handing out a reference.
   [[nodiscard]] ServerStats stats() const;
-  [[nodiscard]] const circuit::Circuit& circuit() const { return circ_; }
+  [[nodiscard]] const circuit::Circuit& circuit() const {
+    return served_.circuit();
+  }
   // OT-pool claims still outstanding (0 once no session is in flight).
   [[nodiscard]] std::uint64_t v3_outstanding_claims() const {
-    return v3_reg_.outstanding_claims();
+    return served_.registry().outstanding_claims();
   }
 
  private:
   void precompute_loop();
   proto::PrecomputedSession take_session();
-  void handle_connection(proto::Channel& ch);
-  void serve_v3_connection(proto::Channel& ch, const ClientHello& hello,
-                           const HelloExtV3& ext,
-                           ServerStats& session_stats);
 
   ServerConfig cfg_;
   std::shared_ptr<FaultInjector> injector_;  // null when fault_plan empty
-  circuit::Circuit circ_;
-  gc::V3Analysis v3_an_;
-  V3PoolRegistry v3_reg_;
-  // Garbled once at construction when reusable mode is enabled; every
-  // reusable session is served off this one context.
-  std::optional<ReusableServeContext> reusable_ctx_;
-  ServerExpectation expect_;
+  ServedCircuit served_;
   TcpListener listener_;
-  crypto::SystemRandom rng_;  // online-phase OT randomness
+  crypto::SystemRandom rng_;  // online-phase OT and inline v3 randomness
 
   core::GcCorePool pool_;
   proto::GarblingBank bank_;

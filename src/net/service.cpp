@@ -1,185 +1,36 @@
 #include "net/service.hpp"
 
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 
+#include "net/cli.hpp"
 #include "net/client.hpp"
-#include "net/fault.hpp"
 #include "net/server.hpp"
 
 namespace maxel::net {
 
-namespace {
-
-// Validates a --fault-plan / MAXEL_FAULT_PLAN spec up front so a typo
-// is a usage error (exit 2), not a runtime failure mid-session.
-bool check_fault_plan(const char* who, const std::string& spec) {
-  if (spec.empty()) return true;
-  try {
-    FaultPlan::parse(spec);
-    return true;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", who, e.what());
-    return false;
-  }
-}
-
-Server* g_signal_server = nullptr;
-
-void handle_sigint(int) {
-  if (g_signal_server != nullptr) g_signal_server->request_stop();
-}
-
-bool parse_scheme(const std::string& name, gc::Scheme& out) {
-  if (name == "halfgates") out = gc::Scheme::kHalfGates;
-  else if (name == "grr3") out = gc::Scheme::kGrr3;
-  else if (name == "classic4") out = gc::Scheme::kClassic4;
-  else return false;
-  return true;
-}
-
-void dump_stats(const std::string& json, const std::string& path) {
-  std::printf("STATS %s\n", json.c_str());
-  std::fflush(stdout);
-  if (!path.empty()) {
-    std::ofstream os(path);
-    os << json << "\n";
-  }
-}
-
-// The four session modes of the unified --mode flag, with the
-// tradeoffs operators pick between. Shared by serve/connect --help.
-constexpr const char* kModeHelp =
-    "  --mode precomputed  classic v2 per-round flow off pre-garbled\n"
-    "                      sessions: strongest-understood privacy for\n"
-    "                      both parties, highest bytes/MAC (full tables\n"
-    "                      + labels every round).\n"
-    "  --mode stream       garble-while-transfer: same privacy as\n"
-    "                      precomputed, bounded server memory, tables\n"
-    "                      still shipped per round.\n"
-    "  --mode v3           slim wire (PRG-seeded labels, packed select\n"
-    "                      bits) + cross-session OT pool: same privacy,\n"
-    "                      ~40%% of the v2 bytes, base OT amortized to\n"
-    "                      ~zero across sessions.\n"
-    "  --mode reusable     garble once, evaluate any number of\n"
-    "                      sessions off one cached artifact: lowest\n"
-    "                      bytes/MAC and highest MAC/s, but WEAKER\n"
-    "                      GARBLER PRIVACY (public-model/private-query\n"
-    "                      only — see docs/SECURITY_MODELS.md).\n";
-
-// Unified mode selector. Server side: picks which hellos are accepted
-// (precomputed is always served; the flag gates the optional modes).
-// Client side: picks what the hello asks for.
-struct ModeChoice {
-  bool stream = false;
-  bool v3 = false;
-  bool reusable = false;
-};
-
-bool parse_mode(const char* v, ModeChoice& out) {
-  if (v == nullptr) return false;
-  const std::string name = v;
-  if (name == "precomputed") out = {false, false, false};
-  else if (name == "stream") out = {true, false, false};
-  else if (name == "v3") out = {false, true, false};
-  else if (name == "reusable") out = {false, true, true};
-  else return false;
-  return true;
-}
-
-// Shared flag scaffolding: returns false (usage error) on unknown flags
-// or missing values.
-struct FlagParser {
-  int argc;
-  char** argv;
-  int i = 0;
-  bool ok = true;
-
-  bool next_flag(std::string& flag) {
-    if (i >= argc) return false;
-    flag = argv[i++];
-    return true;
-  }
-  const char* value() {
-    if (i >= argc) {
-      ok = false;
-      return nullptr;
-    }
-    return argv[i++];
-  }
-  std::uint64_t value_u64() {
-    const char* v = value();
-    return v ? std::strtoull(v, nullptr, 10) : 0;
-  }
-};
-
-}  // namespace
-
 int serve_command(int argc, char** argv) {
   ServerConfig cfg;
-  cfg.port = 7117;
   // The env knob lets tests/net_e2e.sh chaos-test the stock binaries
   // without touching their command lines; an explicit flag wins.
   if (const char* env = std::getenv("MAXEL_FAULT_PLAN")) cfg.fault_plan = env;
   std::string json_path;
-  FlagParser p{argc, argv};
+  cli::FlagParser p{argc, argv};
   std::string flag;
   while (p.next_flag(flag)) {
-    if (flag == "--port") cfg.port = static_cast<std::uint16_t>(p.value_u64());
-    else if (flag == "--bind") { const char* v = p.value(); if (v) cfg.bind_addr = v; }
-    else if (flag == "--bits") cfg.bits = p.value_u64();
-    else if (flag == "--rounds") cfg.rounds_per_session = p.value_u64();
-    else if (flag == "--sessions") cfg.max_sessions = p.value_u64();
-    else if (flag == "--cores") cfg.precompute_cores = p.value_u64();
-    else if (flag == "--seed") cfg.demo_seed = p.value_u64();
-    else if (flag == "--json") { const char* v = p.value(); if (v) json_path = v; }
-    else if (flag == "--quiet") cfg.verbose = false;
-    else if (flag == "--chunk-rounds") cfg.stream_chunk_rounds = p.value_u64();
-    else if (flag == "--queue-chunks") cfg.stream_queue_chunks = p.value_u64();
-    else if (flag == "--mode") {
-      // Restricts the server to one mode family (precomputed v2 is
-      // always served as the baseline every client can fall back to).
-      ModeChoice mc;
-      if (!parse_mode(p.value(), mc)) {
-        std::fprintf(stderr,
-                     "bad --mode (precomputed|stream|v3|reusable)\n");
-        return 2;
-      }
-      cfg.allow_stream = mc.stream;
-      cfg.allow_v3 = mc.v3;
-      cfg.allow_reusable = mc.reusable;
-    }
-    // Deprecated aliases of --mode, kept so existing scripts work.
-    else if (flag == "--no-stream") cfg.allow_stream = false;
-    else if (flag == "--no-v3") cfg.allow_v3 = false;
-    else if (flag == "--no-reusable") cfg.allow_reusable = false;
+    const cli::FlagResult r = cli::parse_serve_flag(p, flag, cfg, json_path);
+    if (r == cli::FlagResult::kBad) return 2;
+    if (r == cli::FlagResult::kTaken) continue;
+    if (flag == "--queue-chunks") cfg.stream_queue_chunks = p.value_u64();
+    else if (flag == "--fault-plan") p.value_into(cfg.fault_plan);
     else if (flag == "--help" || flag == "-h") {
-      std::printf(
-          "maxel_server serve [flags]\n"
-          "  --port N --bind ADDR --bits N --rounds N --sessions N\n"
-          "  --cores N --seed N --scheme {halfgates|grr3|classic4}\n"
-          "  --chunk-rounds N --queue-chunks N --idle-timeout MS\n"
-          "  --fault-plan SPEC --json PATH --quiet\n"
-          "  --mode {precomputed|stream|v3|reusable}  serve only this mode\n"
-          "        family (default: all four):\n%s"
-          "  --no-stream/--no-v3/--no-reusable  deprecated aliases that\n"
-          "        switch off one mode\n",
-          kModeHelp);
+      std::printf("maxel_server serve [flags]\n"
+                  "  --queue-chunks N --fault-plan SPEC\n%s%s",
+                  cli::kServeFlagsHelp, cli::kModeHelp);
       return 0;
-    }
-    else if (flag == "--idle-timeout") cfg.idle_timeout_ms = static_cast<int>(p.value_u64());
-    else if (flag == "--fault-plan") { const char* v = p.value(); if (v) cfg.fault_plan = v; }
-    else if (flag == "--scheme") {
-      const char* v = p.value();
-      if (!v || !parse_scheme(v, cfg.scheme)) {
-        std::fprintf(stderr, "bad --scheme (halfgates|grr3|classic4)\n");
-        return 2;
-      }
     } else {
       std::fprintf(stderr, "maxel_server: unknown flag %s\n", flag.c_str());
       return 2;
@@ -190,20 +41,19 @@ int serve_command(int argc, char** argv) {
     std::fprintf(stderr, "maxel_server: bad flags\n");
     return 2;
   }
-  if (!check_fault_plan("maxel_server", cfg.fault_plan)) return 2;
+  if (!cli::check_fault_plan("maxel_server", cfg.fault_plan)) return 2;
 
   try {
     Server server(cfg);
-    g_signal_server = &server;
-    std::signal(SIGINT, handle_sigint);
-    std::signal(SIGTERM, handle_sigint);
-    std::printf("maxel_server listening on %s:%u (b=%zu, %zu rounds/session, "
-                "%s)\n",
-                cfg.bind_addr.c_str(), server.port(), cfg.bits,
-                cfg.rounds_per_session, gc::scheme_name(cfg.scheme));
-    std::fflush(stdout);
-    server.serve();
-    g_signal_server = nullptr;
+    {
+      const cli::StopOnSignal on_signal(server);
+      std::printf("maxel_server listening on %s:%u (b=%zu, %zu rounds/session, "
+                  "%s)\n",
+                  cfg.bind_addr.c_str(), server.port(), cfg.bits,
+                  cfg.rounds_per_session, gc::scheme_name(cfg.scheme));
+      std::fflush(stdout);
+      server.serve();
+    }
 
     const ServerStats& st = server.stats();
     std::printf("served %llu sessions (%llu rounds): %llu B out, %llu B in, "
@@ -214,10 +64,9 @@ int serve_command(int argc, char** argv) {
                 static_cast<unsigned long long>(st.bytes_received),
                 st.handshake_seconds, st.transfer_seconds, st.ot_seconds,
                 st.total_seconds);
-    dump_stats(st.to_json(), json_path);
+    cli::dump_stats(st.to_json(), json_path);
     return 0;
   } catch (const std::exception& e) {
-    g_signal_server = nullptr;
     std::fprintf(stderr, "maxel_server: %s\n", e.what());
     return 1;
   }
@@ -227,10 +76,10 @@ int connect_command(int argc, char** argv) {
   ClientConfig cfg;
   if (const char* env = std::getenv("MAXEL_FAULT_PLAN")) cfg.fault_plan = env;
   std::string json_path;
-  FlagParser p{argc, argv};
+  cli::FlagParser p{argc, argv};
   std::string flag;
   while (p.next_flag(flag)) {
-    if (flag == "--host") { const char* v = p.value(); if (v) cfg.host = v; }
+    if (flag == "--host") p.value_into(cfg.host);
     else if (flag == "--port") cfg.port = static_cast<std::uint16_t>(p.value_u64());
     else if (flag == "--bits") cfg.bits = p.value_u64();
     else if (flag == "--rounds") cfg.rounds_hint = static_cast<std::uint32_t>(p.value_u64());
@@ -238,8 +87,8 @@ int connect_command(int argc, char** argv) {
     else if (flag == "--no-check") cfg.check = false;
     else if (flag == "--quiet") cfg.verbose = false;
     else if (flag == "--mode") {
-      ModeChoice mc;
-      if (!parse_mode(p.value(), mc)) {
+      cli::ModeChoice mc;
+      if (!cli::parse_mode(p.value(), mc)) {
         std::fprintf(stderr,
                      "bad --mode (precomputed|stream|v3|reusable)\n");
         return 2;
@@ -249,9 +98,6 @@ int connect_command(int argc, char** argv) {
                              : SessionMode::kPrecomputed;
       cfg.protocol = mc.v3 ? kProtocolVersionV3 : kProtocolVersion;
     }
-    // Deprecated aliases of --mode, kept so existing scripts work.
-    else if (flag == "--stream") cfg.mode = SessionMode::kStream;
-    else if (flag == "--v3") cfg.protocol = kProtocolVersionV3;
     else if (flag == "--help" || flag == "-h") {
       std::printf(
           "maxel_client connect [flags]\n"
@@ -261,17 +107,16 @@ int connect_command(int argc, char** argv) {
           "  --retry-seed N --net-timeout MS --fault-plan SPEC\n"
           "  --json PATH --no-check --quiet\n"
           "  --mode {precomputed|stream|v3|reusable}  session mode to\n"
-          "        request (default: precomputed):\n%s"
-          "  --stream/--v3  deprecated aliases of --mode stream / --mode v3\n",
-          kModeHelp);
+          "        request (default: precomputed):\n%s",
+          cli::kModeHelp);
       return 0;
     }
-    else if (flag == "--json") { const char* v = p.value(); if (v) json_path = v; }
+    else if (flag == "--json") p.value_into(json_path);
     else if (flag == "--retries") cfg.retry.max_attempts = static_cast<int>(p.value_u64());
     else if (flag == "--retry-backoff") cfg.retry.backoff_ms = static_cast<int>(p.value_u64());
     else if (flag == "--retry-backoff-max") cfg.retry.backoff_max_ms = static_cast<int>(p.value_u64());
     else if (flag == "--retry-seed") cfg.retry.jitter_seed = p.value_u64();
-    else if (flag == "--fault-plan") { const char* v = p.value(); if (v) cfg.fault_plan = v; }
+    else if (flag == "--fault-plan") p.value_into(cfg.fault_plan);
     else if (flag == "--net-timeout") {
       const int ms = static_cast<int>(p.value_u64());
       cfg.tcp.recv_timeout_ms = ms;
@@ -287,7 +132,7 @@ int connect_command(int argc, char** argv) {
       }
     } else if (flag == "--scheme") {
       const char* v = p.value();
-      if (!v || !parse_scheme(v, cfg.scheme)) {
+      if (!v || !cli::parse_scheme(v, cfg.scheme)) {
         std::fprintf(stderr, "bad --scheme (halfgates|grr3|classic4)\n");
         return 2;
       }
@@ -300,7 +145,7 @@ int connect_command(int argc, char** argv) {
     std::fprintf(stderr, "maxel_client: bad flags\n");
     return 2;
   }
-  if (!check_fault_plan("maxel_client", cfg.fault_plan)) return 2;
+  if (!cli::check_fault_plan("maxel_client", cfg.fault_plan)) return 2;
 
   try {
     const ClientStats st = run_client(cfg);
@@ -313,7 +158,7 @@ int connect_command(int argc, char** argv) {
                 static_cast<unsigned long long>(st.bytes_sent), st.attempts,
                 st.handshake_seconds, st.transfer_seconds, st.ot_seconds,
                 st.eval_seconds);
-    dump_stats(st.to_json(), json_path);
+    cli::dump_stats(st.to_json(), json_path);
     return st.checked && !st.verified ? 1 : 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "maxel_client: %s\n", e.what());

@@ -7,14 +7,13 @@
 
 namespace maxel::net {
 
-// maxel_server [--port P] [--bind A] [--bits N] [--rounds M]
-//              [--scheme halfgates|grr3|classic4] [--sessions K]
-//              [--cores C] [--seed S] [--json FILE] [--quiet]
-//              [--idle-timeout MS] [--fault-plan SPEC]
+// maxel_server [the shared serve flags of net/cli.hpp]
+//              [--queue-chunks Q] [--fault-plan SPEC]
 int serve_command(int argc, char** argv);
 
 // maxel_client [--host H] [--port P] [--bits N] [--rounds M]
 //              [--scheme ...] [--ot base|iknp] [--seed S] [--no-check]
+//              [--mode precomputed|stream|v3|reusable]
 //              [--json FILE] [--quiet] [--retries N] [--retry-backoff MS]
 //              [--retry-backoff-max MS] [--retry-seed S]
 //              [--net-timeout MS] [--fault-plan SPEC]

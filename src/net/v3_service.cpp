@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "net/error.hpp"
-#include "net/server.hpp"
+#include "net/serve_core.hpp"
 #include "proto/v3_records.hpp"
 
 namespace maxel::net {
@@ -56,6 +56,53 @@ std::uint64_t V3PoolRegistry::outstanding_claims() const {
   return total;
 }
 
+PoolGrant grant_pool(V3PoolRegistry& reg, V3PoolRegistry::Entry& entry,
+                     const HelloExtV3& ext, std::uint64_t client_extended,
+                     std::uint64_t need) {
+  PoolGrant g;
+  const bool resume = entry.pool && ext.has_ticket &&
+                      ext.ticket.pool_id == entry.pool->pool_id() &&
+                      ext.ticket.cookie == entry.cookie &&
+                      ext.ticket.client_id == ext.client_id &&
+                      client_extended == entry.pool->extended();
+  if (!resume) {
+    entry.pool = std::make_shared<ot::CorrelatedPoolSender>(
+        reg.delta(), reg.next_pool_id());
+    entry.cookie = reg.next_block();
+    g.fresh = true;
+  }
+  g.pool = entry.pool;
+  g.cookie = entry.cookie;
+
+  const ot::PoolStats pst = g.pool->stats();
+  if (pst.available() < need) {
+    const std::uint64_t deficit = need - pst.available();
+    g.extend = ((deficit + ot::kPoolExtendBatch - 1) / ot::kPoolExtendBatch) *
+               ot::kPoolExtendBatch;
+    g.extend = std::min<std::uint64_t>(
+        g.extend, static_cast<std::uint64_t>(ot::kMaxPoolExtend));
+  }
+  g.start = pst.claimed + pst.consumed + pst.discarded;
+  return g;
+}
+
+ot::PoolClaim open_claim(proto::Channel& ch, V3PoolRegistry& reg,
+                         const PoolGrant& g, const HelloExtV3& ext,
+                         std::uint64_t need) {
+  if (g.fresh) {
+    crypto::SystemRandom setup_rng(reg.next_block());
+    g.pool->base_setup_step2(ch, setup_rng);
+    g.pool->base_setup_step4();
+  }
+  if (g.extend > 0) g.pool->extend(ch, g.extend);
+  const ot::PoolClaim claim = g.pool->claim(need);
+  if (claim.start != g.start)
+    throw std::logic_error("v3 pool: claim raced despite io_mu");
+  proto::send_ticket(ch, proto::ResumptionTicket{g.pool->pool_id(),
+                                                 ext.client_id, g.cookie});
+  return claim;
+}
+
 V3ServeOutcome serve_v3_session(proto::Channel& ch, V3PoolRegistry& reg,
                                 const HelloExtV3& ext,
                                 const circuit::Circuit& circ,
@@ -76,63 +123,16 @@ V3ServeOutcome serve_v3_session(proto::Channel& ch, V3PoolRegistry& reg,
   {
     const std::lock_guard<std::mutex> io(entry->io_mu);
     const proto::V3ClientSetup cs = proto::recv_client_setup(ch);
-
-    // Resume only on full agreement; anything else — first contact, a
-    // missing or stale ticket, a materialized-count desync from a death
-    // mid-extend — restarts from a fresh pool and base OT. The fallback
-    // costs one setup, never correctness.
-    const bool resume = entry->pool && ext.has_ticket &&
-                        ext.ticket.pool_id == entry->pool->pool_id() &&
-                        ext.ticket.cookie == entry->cookie &&
-                        ext.ticket.client_id == ext.client_id &&
-                        cs.extended == entry->pool->extended();
-    if (!resume) {
-      entry->pool = std::make_shared<ot::CorrelatedPoolSender>(
-          reg.delta(), reg.next_pool_id());
-      entry->cookie = reg.next_block();
-      out.fresh_pool = true;
-    }
-    pool = entry->pool;
-
-    const ot::PoolStats pst = pool->stats();
-    std::uint64_t extend_count = 0;
-    if (pst.available() < need) {
-      const std::uint64_t deficit = need - pst.available();
-      extend_count = ((deficit + ot::kPoolExtendBatch - 1) /
-                      ot::kPoolExtendBatch) *
-                     ot::kPoolExtendBatch;
-      extend_count = std::min<std::uint64_t>(
-          extend_count, static_cast<std::uint64_t>(ot::kMaxPoolExtend));
-    }
-    // All claims on this pool run under io_mu, so the next claim start
-    // is exactly the total ever claimed.
-    const std::uint64_t start = pst.claimed + pst.consumed + pst.discarded;
+    const PoolGrant g = grant_pool(reg, *entry, ext, cs.extended, need);
+    pool = g.pool;
+    out.fresh_pool = g.fresh;
+    out.extended = g.extend;
 
     proto::V3ServerSetup ss;
-    ss.fresh = out.fresh_pool;
-    ss.pool_id = pool->pool_id();
-    ss.cookie = entry->cookie;
-    ss.start_index = start;
-    ss.claim_count = need;
-    ss.extend_count = extend_count;
+    stamp_setup(ss, g, need);
     proto::send_server_setup(ch, ss);
     ch.flush();
-
-    if (out.fresh_pool) {
-      crypto::SystemRandom setup_rng(reg.next_block());
-      pool->base_setup_step2(ch, setup_rng);
-      pool->base_setup_step4();
-    }
-    if (extend_count > 0) {
-      pool->extend(ch, extend_count);
-      out.extended = extend_count;
-    }
-    claim = pool->claim(need);
-    if (claim.start != start)
-      throw std::logic_error("serve_v3_session: claim raced despite io_mu");
-    proto::send_ticket(ch, proto::ResumptionTicket{pool->pool_id(),
-                                                   ext.client_id,
-                                                   entry->cookie});
+    claim = open_claim(ch, reg, g, ext, need);
     ch.flush();
   }
   out.setup_bytes = ch.bytes_sent() + ch.bytes_received();

@@ -39,7 +39,7 @@
 
 namespace maxel::net {
 
-struct ServerStats;  // server.hpp
+struct ServerStats;  // serve_core.hpp
 
 // Garbler-side registry of per-client correlated-OT pools. Thread-safe:
 // the broker's workers serve concurrent sessions of the same client
@@ -84,6 +84,45 @@ class V3PoolRegistry {
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::shared_ptr<Entry>>
       entries_;
 };
+
+// A connection's pool and claim window, decided once its client setup
+// record is in. The entry's pool is resumed only on full agreement: the
+// client presents the ticket issued with it AND its materialized count
+// matches the server's. Anything else — first contact, a missing or
+// stale ticket, a desync from a death mid-extend — gets a fresh pool
+// and base OT; the fallback costs one setup, never correctness.
+struct PoolGrant {
+  std::shared_ptr<ot::CorrelatedPoolSender> pool;
+  crypto::Block cookie{};
+  bool fresh = false;        // new pool: base OT runs before any extend
+  std::uint64_t extend = 0;  // OT indices to materialize before the claim
+  std::uint64_t start = 0;   // the claim's first index
+};
+
+// Stamps a grant into a server setup record (V3ServerSetup or
+// ReusableServerSetup) for a claim of `need` indices.
+template <class Setup>
+void stamp_setup(Setup& ss, const PoolGrant& g, std::uint64_t need) {
+  ss.fresh = g.fresh;
+  ss.pool_id = g.pool->pool_id();
+  ss.cookie = g.cookie;
+  ss.start_index = g.start;
+  ss.claim_count = need;
+  ss.extend_count = g.extend;
+}
+
+// Call with entry.io_mu held. All claims on a pool run serialized per
+// entry, so the next claim start is exactly the total ever claimed.
+PoolGrant grant_pool(V3PoolRegistry& reg, V3PoolRegistry::Entry& entry,
+                     const HelloExtV3& ext, std::uint64_t client_extended,
+                     std::uint64_t need);
+
+// Blocking rest of the pool set-up once the server setup record is
+// sent: base OT on a fresh pool, extension, the claim, and the ticket
+// (left unflushed). Call with entry.io_mu held.
+ot::PoolClaim open_claim(proto::Channel& ch, V3PoolRegistry& reg,
+                         const PoolGrant& g, const HelloExtV3& ext,
+                         std::uint64_t need);
 
 struct V3ServeOutcome {
   bool fresh_pool = false;

@@ -1,22 +1,11 @@
 #include "svc/broker.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
 
 #include "crypto/rng.hpp"
-#include "net/demo_inputs.hpp"
-#include "proto/reusable_io.hpp"
 
 namespace maxel::svc {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 // How long a rejected connection waits for the client's EOF before
 // closing (see reject_connection). A well-behaved client hangs up
@@ -26,117 +15,16 @@ constexpr int kRejectLingerMs = 500;
 
 }  // namespace
 
-std::string BrokerStats::to_json() const {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"role\":\"broker\",\"admission_rejects\":%llu,"
-      "\"drain_rejects\":%llu,\"queue_depth\":%zu,"
-      "\"spool\":{\"ready\":%zu,\"spooled\":%llu,\"claimed\":%llu,"
-      "\"cache_hits\":%llu,\"cache_misses\":%llu,\"purged_on_open\":%llu,"
-      "\"bytes_on_disk\":%llu,\"ready_v3\":%zu,\"v3_spooled\":%llu,"
-      "\"v3_claimed\":%llu,\"v3_lineage_discarded\":%llu,"
-      "\"reusable_ready\":%zu,\"reusable_spooled\":%llu,"
-      "\"reusable_evaluations\":%llu,\"reusable_corrupt_discarded\":%llu},"
-      "\"server\":",
-      static_cast<unsigned long long>(admission_rejects),
-      static_cast<unsigned long long>(drain_rejects), queue_depth,
-      spool.sessions_ready,
-      static_cast<unsigned long long>(spool.sessions_spooled),
-      static_cast<unsigned long long>(spool.sessions_claimed),
-      static_cast<unsigned long long>(spool.cache_hits),
-      static_cast<unsigned long long>(spool.cache_misses),
-      static_cast<unsigned long long>(spool.purged_on_open),
-      static_cast<unsigned long long>(spool.bytes_on_disk),
-      spool.sessions_ready_v3,
-      static_cast<unsigned long long>(spool.v3_spooled),
-      static_cast<unsigned long long>(spool.v3_claimed),
-      static_cast<unsigned long long>(spool.v3_lineage_discarded),
-      spool.reusable_ready,
-      static_cast<unsigned long long>(spool.reusable_spooled),
-      static_cast<unsigned long long>(spool.reusable_evaluations),
-      static_cast<unsigned long long>(spool.reusable_corrupt_discarded));
-  return std::string(buf) + server.to_json() + "}";
-}
-
 Broker::Broker(const BrokerConfig& cfg)
     : cfg_(cfg),
-      circ_(circuit::make_mac_circuit(
-          circuit::MacOptions{cfg.bits, cfg.bits, true})),
-      v3_an_(gc::analyze_v3(circ_)),
-      v3_reg_(crypto::SystemRandom().next_block()),
       listener_(cfg.port, cfg.bind_addr),
-      spool_(SpoolConfig{cfg.spool_dir, cfg.ram_cache_sessions, true}),
-      pool_(cfg.precompute_cores, crypto::SystemRandom().next_block()),
-      worker_stats_(std::max<std::size_t>(1, cfg.workers)) {
-  if (cfg_.idle_timeout_ms > 0) {
-    cfg_.tcp.recv_timeout_ms = cfg_.idle_timeout_ms;
-    cfg_.tcp.send_timeout_ms = cfg_.idle_timeout_ms;
-  }
+      core_(cfg, cfg.workers, "broker", "worker") {
+  cfg_.workers = core_.slots();
+  cfg_.tcp = cfg.connection_tcp();
   if (!cfg_.fault_plan.empty())
     injector_ = std::make_shared<net::FaultInjector>(
         net::FaultPlan::parse(cfg_.fault_plan));
-  expect_.scheme = cfg_.scheme;
-  expect_.bit_width = static_cast<std::uint32_t>(cfg_.bits);
-  expect_.circuit_hash = net::circuit_fingerprint(circ_);
-  expect_.rounds_per_session =
-      static_cast<std::uint32_t>(cfg_.rounds_per_session);
-  expect_.allow_stream = cfg_.allow_stream;
-  expect_.allow_v3 = cfg_.allow_v3;
-  expect_.allow_reusable = cfg_.allow_v3 && cfg_.allow_reusable;
-  // Demo garbler inputs are deterministic, so the producer can garble
-  // v3 sessions ahead of time with the same rows every worker serves.
-  net::DemoInputStream a_inputs(cfg_.demo_seed, net::kGarblerStream,
-                                cfg_.bits);
-  v3_g_bits_.resize(cfg_.rounds_per_session);
-  for (auto& row : v3_g_bits_) row = a_inputs.next_bits();
-  cfg_.workers = worker_stats_.size();
-  if (cfg_.spool_high_watermark < cfg_.spool_low_watermark)
-    cfg_.spool_high_watermark = cfg_.spool_low_watermark;
-  if (expect_.allow_reusable) ensure_reusable();
-}
-
-void Broker::ensure_reusable() {
-  reusable_key_ = reusable_artifact_key(expect_.circuit_hash, cfg_.bits);
-  if (auto bytes = spool_.fetch_reusable(reusable_key_)) {
-    try {
-      gc::ReusableCircuit rc =
-          proto::parse_reusable(bytes->data(), bytes->size());
-      if (rc.view.fingerprint == expect_.circuit_hash &&
-          rc.view.bit_width == cfg_.bits) {
-        reusable_ctx_ = net::make_reusable_context(
-            circ_, std::move(rc),
-            static_cast<std::uint32_t>(cfg_.rounds_per_session),
-            cfg_.demo_seed);
-        metrics_.counter("reusable_artifact_loaded").inc();
-        if (cfg_.verbose)
-          std::fprintf(stderr,
-                       "[broker] reusable artifact %s reloaded from spool "
-                       "(%llu evaluations served so far)\n",
-                       reusable_key_.c_str(),
-                       static_cast<unsigned long long>(
-                           spool_.stats().reusable_evaluations));
-        return;
-      }
-      // Same key, different contents (should not happen; the key pins
-      // the fingerprint) — treat like corruption and re-garble.
-    } catch (const std::exception&) {
-      // Checksum passed but the blob no longer parses: fall through to
-      // a fresh garbling; put_reusable below replaces the bad file.
-    }
-  }
-  crypto::SystemRandom garble_rng;
-  gc::ReusableCircuit rc = net::garble_reusable(
-      circ_, static_cast<std::uint32_t>(cfg_.bits), garble_rng);
-  spool_.put_reusable(reusable_key_, proto::serialize_reusable(rc));
-  reusable_ctx_ = net::make_reusable_context(
-      circ_, std::move(rc),
-      static_cast<std::uint32_t>(cfg_.rounds_per_session), cfg_.demo_seed);
-  ++reusable_garbles_;
-  metrics_.counter("reusable_garbles").inc();
-  if (cfg_.verbose)
-    std::fprintf(stderr, "[broker] garbled reusable artifact %s into spool\n",
-                 reusable_key_.c_str());
+  core_.served().context().stream_queue_chunks = cfg.stream_queue_chunks;
 }
 
 Broker::~Broker() { request_stop(); }
@@ -161,204 +49,6 @@ void Broker::reject_connection(net::TcpChannel& ch, net::RejectCode code) {
   ch.linger_close(kRejectLingerMs);
 }
 
-proto::PrecomputedSession Broker::take_session_blocking() {
-  for (;;) {
-    if (auto s = spool_.take()) {
-      metrics_.gauge("spool_ready").set(
-          static_cast<std::int64_t>(spool_.ready()));
-      spool_cv_.notify_all();  // the producer may want to refill now
-      return std::move(*s);
-    }
-    if (producer_stop_.load(std::memory_order_relaxed))
-      throw net::NetError("broker stopping: spool drained");
-    metrics_.counter("spool_empty_waits").inc();
-    std::unique_lock<std::mutex> lock(spool_mu_);
-    spool_cv_.wait_for(lock, std::chrono::milliseconds(20));
-  }
-}
-
-proto::PrecomputedSessionV3 Broker::take_v3_blocking() {
-  for (;;) {
-    if (auto s = spool_.take_v3(v3_reg_.lineage())) {
-      metrics_.gauge("spool_ready_v3").set(
-          static_cast<std::int64_t>(spool_.ready_v3()));
-      spool_cv_.notify_all();  // the producer may want to refill now
-      return std::move(*s);
-    }
-    if (producer_stop_.load(std::memory_order_relaxed))
-      throw net::NetError("broker stopping: spool drained");
-    metrics_.counter("spool_empty_waits").inc();
-    std::unique_lock<std::mutex> lock(spool_mu_);
-    spool_cv_.wait_for(lock, std::chrono::milliseconds(20));
-  }
-}
-
-void Broker::producer_loop() {
-  while (!producer_stop_.load(std::memory_order_relaxed)) {
-    const std::size_t ready = spool_.ready();
-    // When the v3 lane is disabled, report it as full so only the v2
-    // watermark drives refills.
-    const std::size_t ready_v3 =
-        cfg_.allow_v3 ? spool_.ready_v3() : cfg_.spool_high_watermark;
-    if (ready >= cfg_.spool_low_watermark &&
-        ready_v3 >= cfg_.spool_low_watermark) {
-      std::unique_lock<std::mutex> lock(spool_mu_);
-      spool_cv_.wait_for(lock, std::chrono::milliseconds(50));
-      continue;
-    }
-    if (ready < cfg_.spool_low_watermark) {
-      const std::size_t batch = cfg_.spool_high_watermark - ready;
-      std::vector<proto::PrecomputedSession> fresh(batch);
-      pool_.parallel_for(batch, [&](std::size_t item, std::size_t core) {
-        fresh[item] = proto::garble_session(circ_, cfg_.scheme,
-                                            cfg_.rounds_per_session,
-                                            pool_.core_rng(core));
-      });
-      for (auto& s : fresh) spool_.put(std::move(s));
-      precomputed_.fetch_add(batch, std::memory_order_relaxed);
-      metrics_.gauge("spool_ready").set(
-          static_cast<std::int64_t>(spool_.ready()));
-    }
-    if (ready_v3 < cfg_.spool_low_watermark) {
-      // v3 sessions are bound to the registry's garbling delta; the
-      // lineage recorded by put_v3 lets a future broker on this spool
-      // dir burn them instead of serving under the wrong correlation.
-      const std::size_t batch = cfg_.spool_high_watermark - ready_v3;
-      std::vector<proto::PrecomputedSessionV3> fresh(batch);
-      pool_.parallel_for(batch, [&](std::size_t item, std::size_t core) {
-        auto& rng = pool_.core_rng(core);
-        fresh[item] = proto::garble_session_v3(circ_, v3_an_, v3_g_bits_,
-                                               v3_reg_.delta(),
-                                               rng.next_block(), rng);
-      });
-      for (auto& s : fresh) spool_.put_v3(s);
-      precomputed_.fetch_add(batch, std::memory_order_relaxed);
-      metrics_.gauge("spool_ready_v3").set(
-          static_cast<std::int64_t>(spool_.ready_v3()));
-    }
-    spool_cv_.notify_all();
-  }
-}
-
-void Broker::serve_connection(proto::Channel& ch, std::size_t worker) {
-  net::ServerStats local;
-  const auto t_hs = Clock::now();
-  try {
-    const net::V23Handshake hs = net::server_handshake_v23(ch, expect_);
-    const net::ClientHello& hello = hs.hello;
-    local.handshake_seconds = seconds_since(t_hs);
-    metrics_.histogram("handshake_seconds").observe(local.handshake_seconds);
-
-    const bool v3 = hs.version == net::kProtocolVersionV3;
-    const bool reusable =
-        v3 &&
-        hello.mode == static_cast<std::uint8_t>(net::SessionMode::kReusable);
-    const bool stream =
-        !v3 &&
-        hello.mode == static_cast<std::uint8_t>(net::SessionMode::kStream);
-    const auto t_sess = Clock::now();
-    if (reusable) {
-      // Garble-once lane: every worker serves off the one read-only
-      // context built at startup; the only per-session cost is the
-      // pool claim and the d/z exchange. The persisted evaluation
-      // counter is what `maxelctl spool` reports per artifact.
-      net::serve_reusable_session(ch, v3_reg_, *hs.ext, *reusable_ctx_,
-                                  local);
-      spool_.add_reusable_evaluations(reusable_key_,
-                                      cfg_.rounds_per_session);
-      metrics_.counter("reusable_sessions_served").inc();
-    } else if (v3) {
-      // Slim-wire session from the spool's v3 lane; the registry holds
-      // this client's OT pool across connections (and across concurrent
-      // sessions — pool I/O is serialized per client inside).
-      net::serve_v3_session(ch, v3_reg_, *hs.ext, circ_, take_v3_blocking(),
-                            local);
-      metrics_.counter("v3_sessions_served").inc();
-    } else if (stream) {
-      // Garble-while-transfer: the worker garbles on the fly, so the
-      // spool (and its disk round trip) is bypassed entirely.
-      net::StreamOptions sopt;
-      sopt.chunk_rounds = cfg_.stream_chunk_rounds;
-      sopt.queue_chunks = cfg_.stream_queue_chunks;
-      net::serve_streaming_session(ch, hello, circ_, cfg_.scheme,
-                                   cfg_.rounds_per_session, cfg_.bits, sopt,
-                                   cfg_.demo_seed, *worker_rngs_[worker],
-                                   local);
-      metrics_.counter("stream_sessions_served").inc();
-      metrics_.histogram("first_table_seconds")
-          .observe(local.first_table_seconds);
-    } else {
-      net::serve_precomputed_session(ch, hello, take_session_blocking(),
-                                     cfg_.rounds_per_session, cfg_.bits,
-                                     cfg_.demo_seed, *worker_rngs_[worker],
-                                     local);
-    }
-    // Service-wide high-water mark of garbled tables resident for any
-    // one session (whole session precomputed, bounded queue streamed).
-    auto& peak = metrics_.gauge("peak_resident_tables");
-    if (static_cast<std::int64_t>(local.peak_resident_tables) > peak.value())
-      peak.set(static_cast<std::int64_t>(local.peak_resident_tables));
-    metrics_.histogram("transfer_seconds").observe(local.transfer_seconds);
-    metrics_.histogram("ot_seconds").observe(local.ot_seconds);
-    metrics_.histogram("session_seconds").observe(seconds_since(t_sess));
-    metrics_.counter("sessions_served").inc();
-    metrics_.counter("rounds_served").inc(local.rounds_served);
-    // Per-direction wire accounting, split by session mode so a fleet
-    // can read the v2->v3 bandwidth win straight off `maxelctl stats`.
-    const char* mode = reusable ? "reusable"
-                                : (v3 ? "v3" : (stream ? "stream" : "precomputed"));
-    metrics_.counter(std::string("net_tx_bytes_") + mode).inc(ch.bytes_sent());
-    metrics_.counter(std::string("net_rx_bytes_") + mode)
-        .inc(ch.bytes_received());
-
-    const std::uint64_t total =
-        sessions_served_total_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (cfg_.verbose)
-      std::fprintf(stderr,
-                   "[broker] worker %zu served session %llu (%s): %zu rounds, "
-                   "%llu B out, transfer %.3fs, ot %.3fs\n",
-                   worker, static_cast<unsigned long long>(total), mode,
-                   cfg_.rounds_per_session,
-                   static_cast<unsigned long long>(ch.bytes_sent()),
-                   local.transfer_seconds, local.ot_seconds);
-    if (cfg_.max_sessions != 0 && total >= cfg_.max_sessions) request_stop();
-  } catch (const net::HandshakeError& e) {
-    ++local.handshakes_rejected;
-    metrics_.counter("handshakes_rejected").inc();
-    if (cfg_.verbose)
-      std::fprintf(stderr, "[broker] rejected client: %s\n", e.what());
-  } catch (const net::TimeoutError& e) {
-    // The per-connection idle deadline fired: the client went silent or
-    // stopped draining. The worker abandons the session and is free for
-    // the next connection — a stalled client cannot pin it.
-    ++local.idle_timeouts;
-    ++local.connection_errors;
-    metrics_.counter("idle_timeouts").inc();
-    metrics_.counter("connection_errors").inc();
-    if (cfg_.verbose)
-      std::fprintf(stderr, "[broker] idle timeout: %s\n", e.what());
-  } catch (const net::PeerClosedError& e) {
-    // Mid-session hangup — the signature a crashing or retrying client
-    // leaves behind; tracked separately so fleets can tell churn from
-    // protocol errors.
-    ++local.connection_errors;
-    metrics_.counter("peer_disconnects").inc();
-    metrics_.counter("connection_errors").inc();
-    if (cfg_.verbose)
-      std::fprintf(stderr, "[broker] peer disconnected: %s\n", e.what());
-  } catch (const std::exception& e) {
-    ++local.connection_errors;
-    metrics_.counter("connection_errors").inc();
-    if (cfg_.verbose)
-      std::fprintf(stderr, "[broker] connection error: %s\n", e.what());
-  }
-  if (injector_)
-    metrics_.gauge("faults_injected")
-        .set(static_cast<std::int64_t>(injector_->faults_fired()));
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  worker_stats_[worker].merge(local);
-}
-
 void Broker::worker_loop(std::size_t worker) {
   for (;;) {
     std::unique_ptr<net::TcpChannel> ch;
@@ -370,7 +60,7 @@ void Broker::worker_loop(std::size_t worker) {
       if (queue_.empty()) return;  // closed and drained: worker exits
       ch = std::move(queue_.front());
       queue_.pop_front();
-      metrics_.gauge("queue_depth").set(
+      core_.metrics().gauge("queue_depth").set(
           static_cast<std::int64_t>(queue_.size()));
       // A connection popped after stop was requested never became
       // in-flight; it gets the typed drain reject instead of a session.
@@ -378,96 +68,73 @@ void Broker::worker_loop(std::size_t worker) {
     }
     if (draining) {
       reject_connection(*ch, net::RejectCode::kShuttingDown);
-      metrics_.counter("drain_rejects").inc();
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++drain_rejects_;
+      core_.count_drain_reject();
       continue;
     }
     std::unique_ptr<proto::Channel> link = std::move(ch);
     if (injector_)
       link = std::make_unique<net::FaultyChannel>(std::move(link), injector_);
-    serve_connection(*link, worker);
+    const net::ServedSession s =
+        net::serve_connection(*link, core_.context(), *worker_rngs_[worker]);
+    if (injector_)
+      core_.metrics().gauge("faults_injected")
+          .set(static_cast<std::int64_t>(injector_->faults_fired()));
+    if (core_.record(worker, s)) request_stop();
   }
 }
 
 void Broker::run() {
-  const auto t0 = Clock::now();
-  producer_stop_.store(false, std::memory_order_relaxed);
-
-  std::thread producer([this] { producer_loop(); });
-  std::vector<std::thread> workers;
   worker_rngs_.clear();
   for (std::size_t w = 0; w < cfg_.workers; ++w)
     worker_rngs_.push_back(std::make_unique<crypto::SystemRandom>());
-  for (std::size_t w = 0; w < cfg_.workers; ++w)
-    workers.emplace_back([this, w] { worker_loop(w); });
+  core_.run([this] {
+    std::vector<std::thread> workers;
+    for (std::size_t w = 0; w < cfg_.workers; ++w)
+      workers.emplace_back([this, w] { worker_loop(w); });
 
-  while (!stop_.load(std::memory_order_relaxed)) {
-    std::unique_ptr<net::TcpChannel> ch;
-    try {
-      ch = listener_.accept(cfg_.accept_poll_ms, cfg_.tcp);
-    } catch (const net::NetError&) {
-      break;  // listener closed under us
-    }
-    if (!ch) continue;  // poll timeout: recheck the stop flag
-    bool rejected = false;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      if (queue_.size() >= cfg_.admission_queue) {
-        rejected = true;
+    while (!stop_.load(std::memory_order_relaxed)) {
+      std::unique_ptr<net::TcpChannel> ch;
+      try {
+        ch = listener_.accept(cfg_.accept_poll_ms, cfg_.tcp);
+      } catch (const net::NetError&) {
+        break;  // listener closed under us
+      }
+      if (!ch) continue;  // poll timeout: recheck the stop flag
+      bool rejected = false;
+      {
+        std::unique_lock<std::mutex> lock(queue_mu_);
+        if (queue_.size() >= cfg_.admission_queue) {
+          rejected = true;
+        } else {
+          queue_.push_back(std::move(ch));
+          core_.metrics().gauge("queue_depth").set(
+              static_cast<std::int64_t>(queue_.size()));
+        }
+      }
+      if (rejected) {
+        reject_connection(*ch, net::RejectCode::kServerBusy);
+        core_.count_admission_reject();
       } else {
-        queue_.push_back(std::move(ch));
-        metrics_.gauge("queue_depth").set(
-            static_cast<std::int64_t>(queue_.size()));
+        queue_cv_.notify_one();
       }
     }
-    if (rejected) {
-      reject_connection(*ch, net::RejectCode::kServerBusy);
-      metrics_.counter("admission_rejects").inc();
-      const std::lock_guard<std::mutex> lock(stats_mu_);
-      ++admission_rejects_;
-    } else {
-      queue_cv_.notify_one();
+
+    // Graceful drain: no new connections, in-flight sessions complete,
+    // queued leftovers get the typed shutdown reject from the workers.
+    request_stop();
+    {
+      const std::lock_guard<std::mutex> lock(queue_mu_);
+      queue_closed_ = true;
     }
-  }
-
-  // Graceful drain: no new connections, in-flight sessions complete,
-  // queued leftovers get the typed shutdown reject from the workers.
-  request_stop();
-  {
-    const std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_closed_ = true;
-  }
-  queue_cv_.notify_all();
-  for (auto& w : workers) w.join();
-
-  // The producer outlives the workers so an in-flight session that
-  // still needed a spool refill during drain could get one.
-  producer_stop_.store(true, std::memory_order_relaxed);
-  spool_cv_.notify_all();
-  producer.join();
-
-  const std::lock_guard<std::mutex> lock(stats_mu_);
-  accept_wall_seconds_ += seconds_since(t0);
+    queue_cv_.notify_all();
+    for (auto& w : workers) w.join();
+  });
 }
 
 BrokerStats Broker::stats() const {
-  BrokerStats st;
-  {
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    for (const auto& ws : worker_stats_) st.server.merge(ws);
-    st.admission_rejects = admission_rejects_;
-    st.drain_rejects = drain_rejects_;
-    st.server.total_seconds = accept_wall_seconds_;
-  }
-  st.server.reusable_garbles += reusable_garbles_;
-  st.server.sessions_precomputed =
-      precomputed_.load(std::memory_order_relaxed);
-  st.spool = spool_.stats();
-  {
-    const std::lock_guard<std::mutex> lock(queue_mu_);
-    st.queue_depth = queue_.size();
-  }
+  BrokerStats st = core_.stats();
+  const std::lock_guard<std::mutex> lock(queue_mu_);
+  st.queue_depth = queue_.size();
   return st;
 }
 

@@ -8,14 +8,14 @@
 //     full — sends the typed kServerBusy reject and closes, so an
 //     overloaded broker degrades into fast, explicit rejections instead
 //     of unbounded queueing or silent drops.
-//   N workers: pop a connection, handshake, claim a session from the
-//     disk-backed SessionSpool, stream it (the same
-//     serve_precomputed_session core the sequential server uses), fold
-//     timings into per-worker ServerStats (merged on demand) and the
-//     shared MetricsRegistry.
-//   producer: keeps the spool between its low/high watermarks, garbling
-//     batches on a core::GcCorePool — the software stand-in for
-//     MAXelerator streaming fresh sessions up over PCIe.
+//   N workers: pop a connection and serve it through the shared
+//     blocking dispatch (net::serve_connection, the same one the
+//     sequential server runs), claiming v2/v3 sessions from the
+//     disk-backed SessionSpool; the SpoolCore folds each result into
+//     per-worker ServerStats and the shared MetricsRegistry.
+//   producer (SpoolCore): keeps the spool between its low/high
+//     watermarks, garbling batches on a core::GcCorePool — the software
+//     stand-in for MAXelerator streaming fresh sessions up over PCIe.
 //
 // Stop discipline: request_stop() (async-signal-safe atomic store) ->
 // the accept loop stops accepting, workers finish their in-flight
@@ -29,79 +29,32 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "circuit/circuits.hpp"
-#include "core/gc_core_pool.hpp"
 #include "crypto/rng.hpp"
-#include "gc/v3.hpp"
 #include "net/fault.hpp"
 #include "net/handshake.hpp"
-#include "net/reusable_service.hpp"
 #include "net/server.hpp"
 #include "net/tcp_channel.hpp"
-#include "net/v3_service.hpp"
 #include "svc/metrics.hpp"
-#include "svc/session_spool.hpp"
+#include "svc/spool_core.hpp"
 
 namespace maxel::svc {
 
-struct BrokerConfig {
-  std::string bind_addr = "0.0.0.0";
-  std::uint16_t port = 7117;  // 0 picks an ephemeral port (Broker::port())
-  std::size_t bits = 16;
-  gc::Scheme scheme = gc::Scheme::kHalfGates;
-  std::size_t rounds_per_session = 128;
-  std::uint64_t demo_seed = 7;
-
+struct BrokerConfig : SpoolServeOptions {
   std::size_t workers = 4;            // serving threads
   std::size_t admission_queue = 8;    // accepted-but-unserved cap
   int accept_poll_ms = 100;           // stop-flag poll period
-
-  std::string spool_dir;              // required
-  std::size_t spool_low_watermark = 2;   // refill when ready < this
-  std::size_t spool_high_watermark = 8;  // refill up to this
-  std::size_t ram_cache_sessions = 4;
-  std::size_t precompute_cores = 0;   // 0 = hardware concurrency
-
-  std::uint64_t max_sessions = 0;  // stop after serving this many; 0 = forever
-  bool verbose = true;
-  // Stream-mode (garble-while-transfer) tuning; stream sessions garble
+  // Stream-mode backpressure bound, in chunks; stream sessions garble
   // on the worker thread and never touch the spool.
-  std::size_t stream_chunk_rounds = 16;
   std::size_t stream_queue_chunks = 4;
-  bool allow_stream = true;
-  bool allow_v3 = true;  // accept protocol-v3 hellos (slim wire + OT pool)
-  // Reusable-circuit sessions (garble once, evaluate forever). Rides on
-  // v3, so it is only served when allow_v3 is also true. The artifact
-  // lives in the spool's reusable lane keyed by (circuit fingerprint,
-  // bit width): a broker restarting on the same spool dir reloads it
-  // instead of re-garbling. Weaker garbler privacy — see
-  // docs/SECURITY_MODELS.md.
-  bool allow_reusable = true;
-  net::TcpOptions tcp;
-  // Per-connection idle deadline: when > 0 it overrides both
-  // tcp.recv_timeout_ms and tcp.send_timeout_ms, bounding how long a
-  // stalled client can pin a worker (counted in the idle_timeouts
-  // metric when it fires).
-  int idle_timeout_ms = 0;
   // Deterministic fault schedule (net/fault.hpp grammar) wrapped around
   // every served connection; empty = no injection. One injector spans
   // the broker's lifetime, so each event fires once across connections.
   std::string fault_plan;
-};
-
-struct BrokerStats {
-  net::ServerStats server;  // merged over workers (+ accept-loop wall time)
-  SpoolStats spool;
-  std::uint64_t admission_rejects = 0;  // kServerBusy sent
-  std::uint64_t drain_rejects = 0;      // kShuttingDown sent
-  std::size_t queue_depth = 0;          // at snapshot time
-
-  [[nodiscard]] std::string to_json() const;
 };
 
 class Broker {
@@ -122,62 +75,40 @@ class Broker {
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 
   [[nodiscard]] BrokerStats stats() const;
-  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] const circuit::Circuit& circuit() const { return circ_; }
+  [[nodiscard]] MetricsRegistry& metrics() { return core_.metrics(); }
+  [[nodiscard]] const circuit::Circuit& circuit() const {
+    return core_.served().circuit();
+  }
   // OT-pool claims still outstanding (0 once no session is in flight).
   [[nodiscard]] std::uint64_t v3_outstanding_claims() const {
-    return v3_reg_.outstanding_claims();
+    return core_.served().registry().outstanding_claims();
   }
 
   // Load-generation hooks: an in-process load generator fabricates
   // client OT pools directly into the live registry and needs the
   // reusable artifact + handshake expectation to can its byte streams
   // (see evloop/loadgen.hpp).
-  [[nodiscard]] net::V3PoolRegistry& v3_registry() { return v3_reg_; }
+  [[nodiscard]] net::V3PoolRegistry& v3_registry() {
+    return core_.served().registry();
+  }
   [[nodiscard]] const net::ReusableServeContext* reusable_context() const {
-    return reusable_ctx_ ? &*reusable_ctx_ : nullptr;
+    return core_.context().reusable;
   }
   [[nodiscard]] const net::ServerExpectation& expectation() const {
-    return expect_;
+    return core_.context().expect;
   }
 
  private:
   void worker_loop(std::size_t worker);
-  void producer_loop();
-  void serve_connection(proto::Channel& ch, std::size_t worker);
-  proto::PrecomputedSession take_session_blocking();
-  proto::PrecomputedSessionV3 take_v3_blocking();
-  // Loads the reusable artifact for this (fingerprint, bits) key from
-  // the spool — or garbles it once and persists it — and builds the
-  // serve context. Corrupt or unparseable blobs are destroyed and
-  // replaced by a fresh garbling, never served.
-  void ensure_reusable();
   // Sends a load-state reject without reading the hello, then closes.
   void reject_connection(net::TcpChannel& ch, net::RejectCode code);
 
   BrokerConfig cfg_;
   std::shared_ptr<net::FaultInjector> injector_;  // null when plan empty
-  circuit::Circuit circ_;
-  gc::V3Analysis v3_an_;
-  net::V3PoolRegistry v3_reg_;  // per-client OT pools, one broker delta
-  std::vector<std::vector<bool>> v3_g_bits_;  // demo garbler inputs/round
-  net::ServerExpectation expect_;
   net::TcpListener listener_;
-  SessionSpool spool_;
-  core::GcCorePool pool_;
-
-  // Reusable-circuit cache: one artifact per broker (the broker serves
-  // one circuit), built once in the constructor and read-only after —
-  // workers share it without locking. reusable_garbles_ counts fresh
-  // garblings (0 when the spool supplied the artifact on open).
-  std::optional<net::ReusableServeContext> reusable_ctx_;
-  std::string reusable_key_;
-  std::uint64_t reusable_garbles_ = 0;
+  SpoolCore core_;
 
   std::atomic<bool> stop_{false};
-  std::atomic<bool> producer_stop_{false};  // set after workers drain
-  std::atomic<std::uint64_t> sessions_served_total_{0};
-  std::atomic<std::uint64_t> precomputed_{0};
 
   // One OT randomness source per worker (index-stable across the run).
   std::vector<std::unique_ptr<crypto::SystemRandom>> worker_rngs_;
@@ -187,20 +118,6 @@ class Broker {
   std::condition_variable queue_cv_;
   std::deque<std::unique_ptr<net::TcpChannel>> queue_;
   bool queue_closed_ = false;
-
-  // Spool refill signaling (producer wakes workers waiting on an empty
-  // spool; workers wake the producer after draining it).
-  std::mutex spool_mu_;
-  std::condition_variable spool_cv_;
-
-  // Per-worker stats, merged under stats_mu_ into a snapshot.
-  mutable std::mutex stats_mu_;
-  std::vector<net::ServerStats> worker_stats_;
-  std::uint64_t admission_rejects_ = 0;
-  std::uint64_t drain_rejects_ = 0;
-  double accept_wall_seconds_ = 0;
-
-  MetricsRegistry metrics_;
 };
 
 }  // namespace maxel::svc

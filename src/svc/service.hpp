@@ -3,18 +3,29 @@
 // argv excludes the program/subcommand name.
 #pragma once
 
+#include <string>
+
+#include "net/cli.hpp"
+#include "svc/spool_core.hpp"
+
 namespace maxel::svc {
 
-// maxelctl serve --spool DIR [--workers N] [--queue Q] [--low L]
-//   [--high H] [--cache C] [--port P] [--bind A] [--bits N] [--rounds M]
-//   [--scheme halfgates|grr3|classic4] [--cores K] [--seed S]
-//   [--sessions K] [--mode precomputed|stream|v3|reusable]
-//   [--metrics FILE] [--json FILE] [--quiet]
+// The flags both brokers take on top of net::cli's serve flags.
+extern const char* const kBrokerFlagsHelp;
+
+// Parses `flag` if it is a net::cli serve flag or one of the spool
+// flags both brokers share: --spool --low --high --cache --metrics.
+net::cli::FlagResult parse_broker_flag(net::cli::FlagParser& p,
+                                       const std::string& flag,
+                                       SpoolServeOptions& cfg,
+                                       std::string& json_path,
+                                       std::string& metrics_path);
+
+// maxelctl serve --spool DIR [--workers N] [--queue Q] [--queue-chunks N]
+//   [--fault-plan SPEC] [the broker flags above]
 // Runs the concurrent Broker. maxelctl routes `serve` here whenever
 // --spool or --workers is present; otherwise the sequential
-// net::serve_command handles it. --mode gates the optional session
-// families exactly like the sequential server (--no-stream/--no-v3/
-// --no-reusable remain as deprecated aliases).
+// net::serve_command handles it.
 int broker_command(int argc, char** argv);
 
 // maxelctl spool --dir DIR [--fill K --bits N --rounds M [--scheme S]]

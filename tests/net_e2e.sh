@@ -5,37 +5,47 @@
 # (client must verify its decoded MAC; the payload byte counters must
 # match exactly in both directions).
 #
-# Inputs (environment): SERVER and CLIENT point at the built binaries.
+# Inputs (environment): SERVER and CLIENT point at the built binaries;
+# CTL at maxelctl (MODE=broker|evloop only).
 # MODE selects the delivery path: "precomputed" (default) serves from
-# the garbling bank; "stream" passes --stream to the client and checks
-# the chunked garble-while-transfer pipeline; "reusable" runs two
+# the garbling bank; "stream" passes --mode stream to the client and
+# checks the chunked garble-while-transfer pipeline; "reusable" runs two
 # client processes against one garble-once server and proves a single
-# garbling fed both sessions; "chaos" replays a matrix of
+# garbling fed both sessions; "broker" and "evloop" run `maxelctl serve
+# --spool` (worker pool / --evloop shards) against one v3 and one
+# reusable client; "chaos" replays a matrix of
 # MAXEL_FAULT_PLAN schedules against the stock binaries — in both the
 # classic and reusable session modes — every run must end, under a hard
 # watchdog, in a VERIFIED MAC or a typed maxel_client error (see
 # docs/TESTING.md). Run by CTest as the `net_e2e` / `net_e2e_stream` /
-# `net_e2e_reusable` / `net_e2e_chaos` tests.
+# `net_e2e_reusable` / `net_e2e_broker` / `net_e2e_evloop` /
+# `net_e2e_chaos` tests.
 set -euo pipefail
 : "${SERVER:?set SERVER to the maxel_server binary}"
 : "${CLIENT:?set CLIENT to the maxel_client binary}"
 MODE="${MODE:-precomputed}"
 
-client_args=()
-case "$MODE" in
-  precomputed) ;;
-  stream) client_args+=(--stream) ;;
-  reusable) ;;
-  chaos) ;;
-  *) echo "unknown MODE '$MODE' (want precomputed|stream|reusable|chaos)"; exit 1 ;;
-esac
-
 dir=$(mktemp -d)
 spid=""
 trap '[ -n "$spid" ] && kill "$spid" 2>/dev/null; rm -rf "$dir"' EXIT
 
+client_args=()
+server_cmd=("$SERVER")
+case "$MODE" in
+  precomputed) ;;
+  stream) client_args+=(--mode stream) ;;
+  reusable) ;;
+  chaos) ;;
+  broker|evloop)
+    : "${CTL:?set CTL to the maxelctl binary}"
+    server_cmd=("$CTL" serve --spool "$dir/spool" --low 1 --high 2 --cores 1)
+    [ "$MODE" = evloop ] && server_cmd+=(--evloop --shards 2)
+    ;;
+  *) echo "unknown MODE '$MODE' (want precomputed|stream|reusable|broker|evloop|chaos)"; exit 1 ;;
+esac
+
 start_server() {  # start_server <extra server args...>
-  "$SERVER" --port 0 --bits 8 "$@" --json "$dir/server.json" \
+  "${server_cmd[@]}" --port 0 --bits 8 "$@" --json "$dir/server.json" \
             >"$dir/server.log" 2>&1 &
   spid=$!
   # The server prints its bound (ephemeral) port on startup.
@@ -133,6 +143,44 @@ if [ "$MODE" = chaos ]; then
        "$recovered recovered via retry, $served sessions served" \
        "($r_served reusable off $r_garbles garbling)," \
        "$errors connection errors survived"
+  exit 0
+fi
+
+if [ "$MODE" = broker ] || [ "$MODE" = evloop ]; then
+  # A spool-backed broker front serving one v3 and one reusable client:
+  # both must verify, the broker's STATS must count one session of each
+  # mode off exactly one reusable garbling, and the payload byte
+  # counters must reconcile across the wire in both directions.
+  start_server --rounds 120 --sessions 2 --quiet
+
+  for m in v3 reusable; do
+    "$CLIENT" --port "$port" --bits 8 --mode "$m" --quiet \
+              --json "$dir/client_$m.json" >"$dir/client_$m.log" 2>&1 \
+      || { echo "$m client failed:"; cat "$dir/client_$m.log"; exit 1; }
+    grep -q VERIFIED "$dir/client_$m.log" \
+      || { echo "$m client did not verify:"; cat "$dir/client_$m.log"; exit 1; }
+  done
+
+  wait "$spid"  # exits 0 once its two sessions are served
+  spid=""
+
+  v3_served=$(field "$dir/server.json" v3_sessions_served)
+  r_served=$(field "$dir/server.json" reusable_sessions_served)
+  r_garbles=$(field "$dir/server.json" reusable_garbles)
+  [ "$v3_served" = 1 ] || { echo "broker served $v3_served v3 sessions (want 1)"; exit 1; }
+  [ "$r_served" = 1 ] || { echo "broker served $r_served reusable sessions (want 1)"; exit 1; }
+  [ "$r_garbles" = 1 ] || { echo "broker garbled $r_garbles reusable circuits (want 1)"; exit 1; }
+
+  s_out=$(field "$dir/server.json" bytes_sent)
+  s_in=$(field "$dir/server.json" bytes_received)
+  c_out=$(( $(field "$dir/client_v3.json" bytes_sent) + $(field "$dir/client_reusable.json" bytes_sent) ))
+  c_in=$(( $(field "$dir/client_v3.json" bytes_received) + $(field "$dir/client_reusable.json" bytes_received) ))
+  [ "$s_out" = "$c_in" ] \
+    || { echo "byte mismatch: broker sent $s_out, clients received $c_in"; exit 1; }
+  [ "$s_in" = "$c_out" ] \
+    || { echo "byte mismatch: clients sent $c_out, broker received $s_in"; exit 1; }
+  echo "net_e2e[$MODE]: v3 + reusable sessions VERIFIED through maxelctl serve," \
+       "$c_in B down / $c_out B up, counters match"
   exit 0
 fi
 

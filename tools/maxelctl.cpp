@@ -22,18 +22,18 @@
 //       broker (--spool DIR or --workers N — see src/svc/service.hpp
 //       and docs/OPERATIONS.md), or the sharded event-loop broker
 //       (--evloop [--shards N] — see src/evloop/ev_service.hpp); all
-//       take the unified session-mode
-//       selector --mode {precomputed|stream|v3|reusable} (the client
-//       side of `connect` takes the same flag to pick what it asks
-//       for; --stream/--v3/--no-stream/--no-v3/--no-reusable survive
-//       as deprecated aliases). `reusable` trades garbler privacy for
+//       three parse one flag grammar (src/net/cli.hpp), answer --help,
+//       and take the session-mode selector
+//       --mode {precomputed|stream|v3|reusable} (`connect` takes the
+//       same flag to pick what it asks for; unknown flags are usage
+//       errors, exit 2). `reusable` trades garbler privacy for
 //       garble-once throughput — see docs/SECURITY_MODELS.md. `connect`
 //       retries failed sessions from scratch with
-//       --retries/--retry-backoff; both sides take --fault-plan SPEC
-//       (or the MAXEL_FAULT_PLAN env var) to inject a deterministic
-//       schedule of link faults for chaos testing, and `serve` bounds
-//       stalled clients with --idle-timeout MS — see src/net/fault.hpp
-//       and docs/TESTING.md.
+//       --retries/--retry-backoff; both sides (except the evloop
+//       front) take --fault-plan SPEC (or the MAXEL_FAULT_PLAN env var)
+//       to inject a deterministic schedule of link faults for chaos
+//       testing, and `serve` bounds stalled clients with
+//       --idle-timeout MS — see src/net/fault.hpp and docs/TESTING.md.
 //   maxelctl spool --dir DIR [--fill K --bits N --rounds M]
 //       Inspect or pre-fill a disk session spool; lists resident
 //       reusable artifacts (key, size, evaluations served, lineage).
@@ -87,7 +87,8 @@ int usage() {
                "(--spool DIR / --workers N),\n"
                "  or sharded event-loop broker (--evloop [--shards N]);\n"
                "  session modes via --mode "
-               "{precomputed|stream|v3|reusable} on serve and connect\n"
+               "{precomputed|stream|v3|reusable} on serve and connect;\n"
+               "  serve/connect --help lists each front's flags\n"
                "  spool purge --lane reusable --dir DIR retires cached "
                "reusable artifacts\n"
                "  see the header of tools/maxelctl.cpp\n");
